@@ -56,7 +56,7 @@ def _timed(fn):
     return result, time.perf_counter() - started
 
 
-def run_bench(blocks: int, shard_counts, seed: int, workers: int) -> dict:
+def run_bench(blocks: int, shard_counts, seed: int) -> dict:
     # max_block_size stays small: block sizes multiply into the baseline's
     # repair-space size, and the matrix must terminate on CI runners.
     spec = AdversarialSpec(blocks=blocks, max_block_size=4, seed=seed)
@@ -74,9 +74,7 @@ def run_bench(blocks: int, shard_counts, seed: int, workers: int) -> dict:
             per_shard = {}
             for shards in shard_counts:
                 sharded, seconds = _timed(
-                    lambda: execute_sharded(
-                        engine, query, instance, shards, binding={}, max_workers=workers
-                    )
+                    lambda: execute_sharded(engine, query, instance, shards, binding={})
                 )
                 if sharded != baseline:
                     raise AssertionError(
@@ -99,7 +97,6 @@ def run_bench(blocks: int, shard_counts, seed: int, workers: int) -> dict:
             "blocks": blocks,
             "seed": seed,
             "shard_counts": list(shard_counts),
-            "workers": workers,
             "aggregates": list(SUMMARY_AGGREGATES),
             "scenarios": {
                 name: {
@@ -120,13 +117,6 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, nargs="+", default=[2, 4, 8])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process fan-out per sharded execution (1 = serial, the pure "
-        "algorithmic effect)",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help="CI slice: a smaller matrix (fewer blocks, shards 2 and 4)",
@@ -142,7 +132,7 @@ def main(argv=None) -> int:
     blocks = min(args.blocks, 7) if args.smoke else args.blocks
     shard_counts = [2, 4] if args.smoke else args.shards
 
-    result = run_bench(blocks, shard_counts, args.seed, args.workers)
+    result = run_bench(blocks, shard_counts, args.seed)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2)
         handle.write("\n")

@@ -10,8 +10,7 @@ The three queries cover the seams sharding helps:
 
 * ``closed_max`` / ``closed_min`` — closed MIN/MAX over the whole Stock
   relation; both directions run the MIN/MAX rewriting per shard, so the
-  win is the per-shard evaluation running on a fraction of the instance
-  (and, on multi-core hosts with ``--workers > 1``, in parallel).
+  win is the per-shard evaluation running on a fraction of the instance.
 * ``groupby_town_sum`` — per-town SUM: the unsharded engine evaluates every
   group against the full instance, the sharded engine evaluates each
   shard's groups against that shard only, an O(groups × instance) →
@@ -24,9 +23,8 @@ Usage::
 
 ``--check-speedup`` makes the script exit non-zero unless the best sharded
 configuration beats the unsharded wall-clock on the largest workload (the
-CI smoke contract).  ``--workers`` caps the process fan-out per sharded
-execution; the default of 1 measures the pure algorithmic effect and is
-the honest setting for single-core hosts.
+CI smoke contract).  Shard summaries run in-process (no worker pool is
+attached), so the numbers measure the pure algorithmic effect.
 """
 
 from __future__ import annotations
@@ -70,9 +68,7 @@ def _timed(fn):
     return result, time.perf_counter() - started
 
 
-def run_bench(
-    blocks: int, shard_counts, inconsistency: float, seed: int, workers: int
-) -> dict:
+def run_bench(blocks: int, shard_counts, inconsistency: float, seed: int) -> dict:
     instance = scalability_instance(blocks, inconsistency, seed)
     engine = ConsistentAnswerEngine()
     queries = bench_queries()
@@ -95,7 +91,6 @@ def run_bench(
                     instance,
                     shards,
                     binding=None if grouped else {},
-                    max_workers=workers,
                 )
             )
             if sharded != baseline:
@@ -126,7 +121,6 @@ def run_bench(
             "inconsistency": inconsistency,
             "seed": seed,
             "shard_counts": list(shard_counts),
-            "workers": workers,
         },
         "queries": results,
     }
@@ -138,13 +132,6 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, nargs="+", default=[2, 4, 8])
     parser.add_argument("--inconsistency", type=float, default=0.2)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process fan-out per sharded execution (1 = serial, the pure "
-        "algorithmic effect; raise on multi-core hosts)",
-    )
     parser.add_argument("--out", default="BENCH_shard.json")
     parser.add_argument(
         "--check-speedup",
@@ -154,9 +141,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    result = run_bench(
-        args.blocks, args.shards, args.inconsistency, args.seed, args.workers
-    )
+    result = run_bench(args.blocks, args.shards, args.inconsistency, args.seed)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2)
         handle.write("\n")

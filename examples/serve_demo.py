@@ -10,8 +10,8 @@ same event loop) and demonstrates the full serving surface:
 4. register a *new* instance over the wire and query it;
 5. batch several queries through /answer_many;
 6. mutate the registered instance through the write path
-   (POST /instances/{name}/facts) with optimistic concurrency, and watch
-   the answer and the version change;
+   (PATCH /instances/{name} with If-Match) with optimistic concurrency,
+   and watch the answer and the version change;
 7. stop the server, boot a fresh one on the same store directory, and show
    the mutation survived the restart — version intact;
 8. read /metrics: plan-cache hits prove requests share compiled plans.

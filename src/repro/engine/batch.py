@@ -257,9 +257,10 @@ def run_in_fork_pool(worker, payloads: Sequence[tuple], workers: int) -> Optiona
     Prefers the ``fork`` start method (cheap on Linux, inherits the imported
     library); results come back in payload order.  Returns ``None`` when
     process pools are unavailable (restricted environments) so callers can
-    degrade to their serial path instead of failing.  The batch executor and
-    the sharded executor share this scaffolding — a fix to the pool policy
-    lands in both.
+    degrade to their serial path instead of failing.  Only the batch
+    executor forks: shard summaries run in-process or on an attached
+    :class:`~repro.engine.workers.WorkerPool` (``--workers``), with one
+    summary cache in the calling process.
 
     Forking a process that already runs threads can inherit held locks into
     the child; callers embedded in threaded servers keep ``workers`` at 1

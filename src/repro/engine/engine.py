@@ -18,9 +18,8 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-import warnings
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.range_answers import RangeAnswer
@@ -62,8 +61,9 @@ class AnswerOptions:
         >>> engine.answer_many(items, AnswerOptions(max_workers=2))
 
     Fields that a given entry point does not use are ignored there
-    (``chunk_size`` only matters to batches, ``strategy`` only to sharded
-    execution), so one options value can drive a mixed workload.
+    (``max_workers`` and ``chunk_size`` only matter to batches, ``strategy``
+    only to sharded execution), so one options value can drive a mixed
+    workload.
 
     ``deadline`` is a *relative* budget in seconds: execution runs under a
     cooperative cancellation token that expires that many seconds after the
@@ -86,45 +86,6 @@ class AnswerOptions:
             raise ValueError("AnswerOptions.chunk_size must be >= 1")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("AnswerOptions.deadline must be > 0 seconds")
-
-
-_OPTION_FIELDS = frozenset(field.name for field in fields(AnswerOptions))
-_LEGACY_KWARGS_WARNED: set = set()
-_LEGACY_KWARGS_LOCK = threading.Lock()
-
-
-def _coerce_options(
-    options: Optional[AnswerOptions], legacy: Dict[str, object], method: str
-) -> AnswerOptions:
-    """Merge the legacy kwargs tail into an :class:`AnswerOptions` value.
-
-    Legacy spellings (``engine.answer(..., shards=3)``) keep working through
-    this adapter, with one :class:`DeprecationWarning` per kwarg name per
-    process — existing callers migrate on their own schedule without the
-    log filling up.  Mixing ``options=`` with legacy kwargs is rejected:
-    silently preferring one over the other would hide a real bug.
-    """
-    if not legacy:
-        return options if options is not None else AnswerOptions()
-    unknown = sorted(set(legacy) - _OPTION_FIELDS)
-    if unknown:
-        raise TypeError(f"{method}() got unexpected keyword arguments {unknown}")
-    if options is not None:
-        raise TypeError(
-            f"{method}() takes either options=AnswerOptions(...) or legacy "
-            f"kwargs {sorted(legacy)}, not both"
-        )
-    with _LEGACY_KWARGS_LOCK:
-        for name in legacy:
-            if (method, name) not in _LEGACY_KWARGS_WARNED:
-                _LEGACY_KWARGS_WARNED.add((method, name))
-                warnings.warn(
-                    f"{method}({name}=...) is deprecated; pass "
-                    f"options=AnswerOptions({name}=...) instead",
-                    DeprecationWarning,
-                    stacklevel=4,
-                )
-    return AnswerOptions(**legacy)  # type: ignore[arg-type]
 
 
 def _fallback_reason_slug(reason: Optional[str]) -> str:
@@ -267,9 +228,10 @@ class ConsistentAnswerEngine:
     def set_worker_pool(self, pool) -> None:
         """Attach (or detach, with ``None``) a long-lived worker pool.
 
-        While a running pool is attached, :meth:`answer_many` chunks and
-        sharded summarisation are submitted to its persistent workers
-        instead of forking per-call process pools.
+        While a running pool is attached, :meth:`answer_many` chunks are
+        submitted to its persistent workers instead of forking per-call
+        process pools, and sharded execution computes its summary-cache
+        misses there instead of in-process.
         """
         self._worker_pool = pool
 
@@ -379,7 +341,6 @@ class ConsistentAnswerEngine:
         instance: DatabaseInstance,
         binding: Optional[Binding] = None,
         options: Optional[AnswerOptions] = None,
-        **legacy: object,
     ) -> RangeAnswer:
         """Both bounds for a closed query (or one instantiation of the free
         variables via ``binding``).
@@ -387,18 +348,17 @@ class ConsistentAnswerEngine:
         Execution knobs ride an :class:`AnswerOptions` value, accepted via
         ``options=`` or positionally in the ``binding`` slot when no binding
         is given.  ``AnswerOptions(shards=N)`` (N > 1) partitions the
-        instance into block-closed fact shards, evaluates the compiled plan
-        per shard (fanning out across the process pool when configuration
-        allows), and merges the per-shard summaries exactly; see
-        :mod:`repro.engine.sharding`.  Queries the sharding seam cannot
-        merge fall back to the unsharded path transparently.  Legacy kwargs
-        (``shards=...``) keep working through a warn-once adapter.
+        instance into block-closed fact shards, summarises each shard the
+        summary cache misses (on the attached worker pool when one is
+        running, else in-process), and merges the per-shard summaries
+        exactly; see :mod:`repro.engine.sharding`.  Queries the sharding
+        seam cannot merge fall back to the unsharded path transparently.
         """
         if isinstance(binding, AnswerOptions):
             if options is not None:
                 raise TypeError("answer() got two AnswerOptions values")
             binding, options = None, binding
-        opts = _coerce_options(options, legacy, "answer")
+        opts = options if options is not None else AnswerOptions()
         plan = self.compile(query)
         binding = self._checked_binding(plan, binding)
         with self._deadline_scope(opts):
@@ -412,7 +372,6 @@ class ConsistentAnswerEngine:
                     opts.shards,
                     binding=binding,
                     strategy=opts.strategy,
-                    max_workers=opts.max_workers,
                 )
             with obs_span("execute.glb", strategy=plan.glb_strategy):
                 add_cost("facts_scanned", len(instance))
@@ -431,19 +390,16 @@ class ConsistentAnswerEngine:
         query: AggregationQuery,
         instance: DatabaseInstance,
         options: Optional[AnswerOptions] = None,
-        **legacy: object,
     ) -> Dict[Tuple[Constant, ...], RangeAnswer]:
         """Range consistent answers per possible answer tuple (Section 6.2).
 
         Tuples that are not consistent answers map to ⊥ on both bounds, as
         in Section 5.3.  ``AnswerOptions(shards=N)`` evaluates each shard's
         local groups against that shard only and merges the per-group
-        summaries — on top of process parallelism this shrinks the
-        per-group evaluation cost from O(groups × instance) to
-        O(groups × shard).  Legacy kwargs (``shards=...``) keep working
-        through a warn-once adapter.
+        summaries — this shrinks the per-group evaluation cost from
+        O(groups × instance) to O(groups × shard).
         """
-        opts = _coerce_options(options, legacy, "answer_group_by")
+        opts = options if options is not None else AnswerOptions()
         plan = self.compile(query)
         free = plan.query.free_variables
         if not free:
@@ -468,7 +424,6 @@ class ConsistentAnswerEngine:
                 instance,
                 opts.shards,
                 strategy=opts.strategy,
-                max_workers=opts.max_workers,
             )
         with obs_span("groupby.candidates") as candidates_span:
             add_cost("facts_scanned", len(instance))
@@ -523,7 +478,6 @@ class ConsistentAnswerEngine:
         self,
         items: Sequence[Tuple[AggregationQuery, DatabaseInstance]],
         options: Optional[AnswerOptions] = None,
-        **legacy: object,
     ):
         """Answer a batch of (query, instance) pairs with per-item timings.
 
@@ -532,13 +486,11 @@ class ConsistentAnswerEngine:
         :func:`repro.engine.batch.execute_batch`.  Closed queries yield a
         :class:`RangeAnswer`, GROUP BY queries a per-group dict.  Results
         come back in submission order.  ``max_workers`` defaults to the
-        engine's ``batch_workers`` configuration; legacy kwargs
-        (``max_workers=``, ``chunk_size=``) keep working through a
-        warn-once adapter.
+        engine's ``batch_workers`` configuration.
         """
         from repro.engine.batch import execute_batch
 
-        opts = _coerce_options(options, legacy, "answer_many")
+        opts = options if options is not None else AnswerOptions()
         with self._deadline_scope(opts):
             return execute_batch(
                 self,

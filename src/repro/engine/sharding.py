@@ -81,13 +81,9 @@ from repro.core.evaluator import BOTTOM
 from repro.core.range_answers import RangeAnswer
 from repro.datamodel.facts import Constant, Fact, as_fraction
 from repro.datamodel.instance import BlockKey, DatabaseInstance
+from repro.datamodel.signature import Schema
 from repro.embeddings.embeddings import embeddings_of
-from repro.engine.cancellation import (
-    active_deadline,
-    check_cancelled,
-    deadline_token,
-    token_scope,
-)
+from repro.engine.cancellation import check_cancelled
 from repro.exceptions import BackendError
 from repro.obs.caches import (
     CACHE_REGISTRY,
@@ -562,13 +558,17 @@ class _UnionFind:
 class ShardPlan:
     """The outcome of partitioning one instance for one query.
 
-    ``shards`` always covers every fact of the source instance exactly once.
-    When sharding does not apply (``fallback_reason`` is set) or only one
-    shard was requested, ``shards`` holds the full instance and the executor
-    takes the ordinary unsharded path.
+    ``shards`` always covers every fact of the source instance exactly once,
+    one tuple of facts per shard.  When sharding does not apply
+    (``fallback_reason`` is set) or only one shard was requested, ``shards``
+    holds every fact in one tuple and the executor takes the ordinary
+    unsharded path.  Shards stay plain fact tuples because cached plans
+    outlive requests: a shard's :class:`DatabaseInstance` is built only when
+    its summary is computed (:func:`summarize_planned_shard`) and dropped
+    right after.
     """
 
-    shards: Tuple[DatabaseInstance, ...]
+    shards: Tuple[Tuple[Fact, ...], ...]
     strategy: str
     component_count: int
     weights: Tuple[int, ...]
@@ -665,7 +665,7 @@ class ShardPlanner:
         reason = self.fallback_reason(query)
         if reason is not None or shards == 1:
             return ShardPlan(
-                shards=(instance,),
+                shards=(tuple(instance),),
                 strategy=self._strategy,
                 component_count=0,
                 weights=(len(instance),),
@@ -678,7 +678,6 @@ class ShardPlanner:
             for component in components
         ]
         assignment = self._assign(components, component_weights, shards)
-        schema = instance.schema
         shard_facts: List[List[Fact]] = [[] for _ in range(shards)]
         # Content token per shard: a commutative (XOR + sum) fold over the
         # per-block ``(key, mutation stamp)`` hashes.  Commutativity makes the
@@ -695,11 +694,8 @@ class ShardPlanner:
                 )
                 xor_fold[shard_index] ^= pair_hash
                 sum_fold[shard_index] = (sum_fold[shard_index] + pair_hash) & _MASK64
-        shard_instances = tuple(
-            DatabaseInstance(schema, facts) for facts in shard_facts
-        )
         return ShardPlan(
-            shards=shard_instances,
+            shards=tuple(tuple(facts) for facts in shard_facts),
             strategy=self._strategy,
             component_count=len(components),
             weights=tuple(len(facts) for facts in shard_facts),
@@ -821,17 +817,19 @@ class ShardPlanner:
 # A serving deployment answers many requests against the same registered
 # instance, and the partition depends only on (compiled plan, instance,
 # shard count, strategy) — recomputing the union-find per request would
-# waste exactly the work the engine's plan cache exists to avoid.  The cache
-# is weak-keyed by the instance so entries die with the database, and every
-# hit is guarded by the instance's ``data_version`` mutation token: any
-# in-place ``add_fact``/``remove_fact`` bumps the token, so a stale plan for
-# a mutated instance can never be served (a bare fact count would be fooled
-# by a remove+add of the same cardinality).
+# waste exactly the work the engine's plan cache exists to avoid.  Entries
+# are keyed by instance *identity* and die with the database (a weakref
+# callback drops them).  Identity, not equality: a plan carries its
+# instance's lineage and block stamps, so an equal-content instance of
+# another lineage must not share it — its summaries would be filed under
+# the wrong lineage and a later write in either family would miss them
+# all.  Every hit is guarded by the instance's ``data_version`` mutation
+# token: any in-place ``add_fact``/``remove_fact`` bumps the token, so a
+# stale plan for a mutated instance can never be served (a bare fact count
+# would be fooled by a remove+add of the same cardinality).
 
 _SHARD_PLAN_LOCK = threading.Lock()
-_SHARD_PLAN_CACHE: "weakref.WeakKeyDictionary[DatabaseInstance, Dict[tuple, Tuple[int, ShardPlan]]]" = (
-    weakref.WeakKeyDictionary()
-)
+_SHARD_PLAN_CACHE: Dict[int, Tuple[weakref.ref, Dict[tuple, Tuple[int, ShardPlan]]]] = {}
 _SHARD_PLAN_HITS = [0]
 
 
@@ -839,19 +837,25 @@ def _cached_shard_plan(
     planner: ShardPlanner, plan: QueryPlan, instance: DatabaseInstance, shards: int
 ) -> ShardPlan:
     key = (plan.key, shards, planner.strategy)
+    ident = id(instance)
     with _SHARD_PLAN_LOCK:
-        per_instance = _SHARD_PLAN_CACHE.get(instance)
-        if per_instance is not None:
-            entry = per_instance.get(key)
+        holder = _SHARD_PLAN_CACHE.get(ident)
+        if holder is not None and holder[0]() is instance:
+            entry = holder[1].get(key)
             if entry is not None and entry[0] == instance.data_version:
                 _SHARD_PLAN_HITS[0] += 1
                 return entry[1]
     shard_plan = planner.plan(plan.query, instance, shards)
     with _SHARD_PLAN_LOCK:
-        _SHARD_PLAN_CACHE.setdefault(instance, {})[key] = (
-            instance.data_version,
-            shard_plan,
-        )
+        holder = _SHARD_PLAN_CACHE.get(ident)
+        if holder is None or holder[0]() is not instance:
+            # The callback runs while the dead instance is deallocated, before
+            # its id can be reused, and takes no lock (it may fire mid-GC).
+            holder = _SHARD_PLAN_CACHE[ident] = (
+                weakref.ref(instance, lambda _ref: _SHARD_PLAN_CACHE.pop(ident, None)),
+                {},
+            )
+        holder[1][key] = (instance.data_version, shard_plan)
     return shard_plan
 
 
@@ -885,12 +889,15 @@ def clear_shard_plan_cache() -> None:
 # :class:`ShardPlan`) folds each block's mutation stamp, drawn from a clock
 # shared across the whole copy family, so a stale entry is unreachable by
 # construction and invalidation is implicit.  Bounded LRU; stats mirror the
-# ``repro_summary_cache_{hits,misses,invalidations}_total`` counters.
+# ``repro_summary_cache_{hits,misses}_total`` counters.  Lookups and stores
+# happen only in the process that runs :func:`execute_sharded` — pool
+# workers compute misses without touching a cache — so there is one cache
+# and one set of counters per serving process.
 
 _SUMMARY_CACHE_LOCK = threading.Lock()
 _SUMMARY_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 _SUMMARY_CACHE_CAPACITY = [512]
-_SUMMARY_CACHE_COUNTS = {"hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
+_SUMMARY_CACHE_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
 # Per-lineage attribution (key[0] is the instance's lineage token; the cache
 # registry translates tokens to registry names at report time), insert
 # timestamps backing the eviction-age histogram, and a cap keeping the
@@ -907,20 +914,12 @@ def _summary_lineage_counts(lineage: str) -> Dict[str, int]:
     if counts is None:
         if len(_SUMMARY_BY_LINEAGE) >= _SUMMARY_BY_LINEAGE_MAX:
             _SUMMARY_BY_LINEAGE.pop(next(iter(_SUMMARY_BY_LINEAGE)))
-        counts = _SUMMARY_BY_LINEAGE[lineage] = {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "invalidations": 0,
-        }
+        counts = _SUMMARY_BY_LINEAGE[lineage] = {"hits": 0, "misses": 0, "evictions": 0}
     return counts
 
 _SUMMARY_CACHE_HELP = {
     "repro_summary_cache_hits_total": "Shard summaries served from the cache",
     "repro_summary_cache_misses_total": "Shard summaries recomputed on a miss",
-    "repro_summary_cache_invalidations_total": (
-        "Shard summaries invalidated by mutations (per-shard version bumps)"
-    ),
 }
 
 
@@ -937,14 +936,8 @@ def summary_cache_key(
     index: int,
     binding: Optional[Binding],
     grouped: bool,
-) -> Optional[tuple]:
-    """Content-addressed cache key for one shard's summary, or ``None``.
-
-    ``None`` means the shard is not cacheable (no content tokens — the
-    unsharded fallback path, or a planner that predates tokens).
-    """
-    if not shard_plan.lineage or index >= len(shard_plan.shard_tokens):
-        return None
+) -> tuple:
+    """Content-addressed cache key for shard ``index`` of a sharded plan."""
     if grouped:
         mode: tuple = ("groups",)
     else:
@@ -992,58 +985,18 @@ def _summary_cache_put(key: tuple, value: object) -> None:
             _summary_cache_evict_locked(now)
 
 
-def note_summary_invalidations(count: int, lineage: Optional[str] = None) -> None:
-    """Record that a mutation bumped ``count`` per-shard versions.
+def _cached_summary(key: tuple, index: int) -> Optional[object]:
+    """The cached summary of shard ``index`` under ``key``, or ``None``.
 
-    Invalidation is implicit in the content-addressed keying (stale entries
-    simply stop being referenced and age out of the LRU), so this counter is
-    the observable trace of it: the write path calls in with the number of
-    shard slots whose version vector entry advanced, plus (when it knows it)
-    the mutated instance's lineage token for per-instance attribution.
+    Cached values are immutable by convention — every consumer merges them
+    into fresh accumulators.
     """
-    if count <= 0:
-        return
-    with _SUMMARY_CACHE_LOCK:
-        _SUMMARY_CACHE_COUNTS["invalidations"] += count
-        if lineage:
-            _summary_lineage_counts(str(lineage))["invalidations"] += count
-    _summary_counter("invalidations").inc(count)
-
-
-def cached_shard_summary(
-    plan: QueryPlan,
-    shard_plan: ShardPlan,
-    index: int,
-    binding: Optional[Binding] = None,
-    grouped: bool = False,
-):
-    """Summarise shard ``index`` of ``shard_plan``, through the summary cache.
-
-    Returns a :class:`ShardAnswer` (closed execution) or a
-    ``{group: ShardAnswer}`` map (GROUP BY).  Cached values are immutable by
-    convention — every consumer merges them into fresh accumulators.
-    """
-    shard = shard_plan.shards[index]
-    key = summary_cache_key(shard_plan, plan.key, index, binding, grouped)
-    if key is not None:
-        with obs_span("shard.summary_cache", shard=index) as span:
-            cached = _summary_cache_get(key)
-            if span is not None:
-                span.set_tag("outcome", "hit" if cached is not None else "miss")
-        if cached is not None:
-            add_cost("summary_cache_hits")
-            return cached
-        add_cost("summary_cache_misses")
-    with obs_span("shard.summarize", shard=index, facts=len(shard)):
-        add_cost("facts_scanned", len(shard))
-        summary = (
-            summarize_shard_groups(plan, shard)
-            if grouped
-            else summarize_shard(plan, shard, binding)
-        )
-    if key is not None:
-        _summary_cache_put(key, summary)
-    return summary
+    with obs_span("shard.summary_cache", shard=index) as span:
+        cached = _summary_cache_get(key)
+        if span is not None:
+            span.set_tag("outcome", "hit" if cached is not None else "miss")
+    add_cost("summary_cache_hits" if cached is not None else "summary_cache_misses")
+    return cached
 
 
 def summary_cache_stats() -> Dict[str, int]:
@@ -1105,7 +1058,6 @@ def summary_cache_report() -> Dict[str, object]:
         by_instance=by_instance,
         eviction_ages=_SUMMARY_AGES.snapshot(),
         approx_bytes=approx_sizeof(sample, total=size),
-        extra={"invalidations": counts["invalidations"]},
     )
 
 
@@ -1259,89 +1211,32 @@ def summarize_shard_groups(
     return summaries
 
 
-# -- the sharded executor ---------------------------------------------------------------
-
-
-def _shard_worker(
-    config: dict,
-    query: AggregationQuery,
-    shard: DatabaseInstance,
-    binding: Optional[Binding],
-    grouped: bool,
-    deadline: Optional[float] = None,
+def summarize_planned_shard(
+    plan: QueryPlan,
+    shard_plan: ShardPlan,
+    index: int,
+    schema: Schema,
+    binding: Optional[Binding] = None,
+    grouped: bool = False,
 ):
-    """Process-pool entry point: rebuild the engine, summarise one shard.
+    """Summarise shard ``index`` of ``shard_plan``, bypassing the cache.
 
-    The request deadline rides the payload (a parent-side ``cancel()``
-    cannot reach a forked child) so an abandoned request's shards stop
-    before summarising rather than after.
+    Returns a :class:`ShardAnswer` (closed execution) or a
+    ``{group: ShardAnswer}`` map (GROUP BY).  The shard's instance is built
+    from its facts here and dropped on return.  The sharded executor and
+    pool workers both summarise through this function, which looks the
+    summarisers up in this module's globals on every call.
     """
-    from repro.engine.engine import ConsistentAnswerEngine
-
-    engine = ConsistentAnswerEngine(**config)
-    with token_scope(deadline_token(deadline)):
-        check_cancelled()
-        plan = engine.compile(query)
+    facts = shard_plan.shards[index]
+    with obs_span("shard.summarize", shard=index, facts=len(facts)):
+        add_cost("facts_scanned", len(facts))
+        shard = DatabaseInstance(schema, facts)
         if grouped:
             return summarize_shard_groups(plan, shard)
         return summarize_shard(plan, shard, binding)
 
 
-def _parallel_summaries(
-    config: dict,
-    query: AggregationQuery,
-    shards: Sequence[DatabaseInstance],
-    binding: Optional[Binding],
-    grouped: bool,
-    workers: int,
-) -> Optional[List[object]]:
-    """Fan shard summarisation out across processes; None when unavailable.
-
-    Shares the batch executor's fork-pool scaffolding (and its caveat:
-    forking from a threaded process can inherit held locks, so threaded
-    servers keep their engine's ``batch_workers`` at 1 — the serving
-    default — unless the deployment accepts that risk)."""
-    from repro.engine.batch import run_in_fork_pool
-
-    deadline = active_deadline()
-    return run_in_fork_pool(
-        _shard_worker,
-        [(config, query, shard, binding, grouped, deadline) for shard in shards],
-        workers,
-    )
-
-
-def _pool_summaries(
-    pool,
-    query: AggregationQuery,
-    instance: DatabaseInstance,
-    shard_plan: ShardPlan,
-    binding: Optional[Binding],
-    grouped: bool,
-    strategy: str,
-) -> Optional[List[object]]:
-    """Summarise shards on the long-lived worker pool; None on pool failure.
-
-    Each shard is summarised by its stably assigned worker
-    (:func:`repro.engine.workers.shard_worker_of`): the worker holds the
-    instance resident, recomputes the deterministic partition into its own
-    shard-plan cache, and only shard *indices* cross the pipe.  A pool that
-    fails after exhausting its crash retries degrades to the caller's serial
-    path instead of losing the request.
-    """
-    from repro.engine.workers import WorkerPoolError
-
-    try:
-        return pool.summarize_shards(
-            query,
-            instance,
-            len(shard_plan.shards),
-            strategy,
-            binding=binding,
-            grouped=grouped,
-        )
-    except WorkerPoolError:
-        return None
+# -- the sharded executor ---------------------------------------------------------------
 
 
 def execute_sharded(
@@ -1351,7 +1246,6 @@ def execute_sharded(
     shards: int,
     binding: Optional[Binding] = None,
     strategy: str = STRATEGY_BALANCED,
-    max_workers: Optional[int] = None,
 ):
     """Answer ``query`` by partitioning ``instance`` into ``shards`` parts.
 
@@ -1360,9 +1254,12 @@ def execute_sharded(
     variables), a ``{group: RangeAnswer}`` dict for GROUP BY execution.
     Non-shardable queries transparently fall back to the unsharded path.
 
-    ``max_workers`` caps the process fan-out (``None`` defers to the
-    engine's ``batch_workers`` configuration; 1 forces in-process
-    summarisation on the calling engine, which keeps its plan cache warm).
+    There is one summary path: plan the shards, look every shard's summary
+    up in the summary cache of this process, compute only the misses, then
+    store them and merge.  Misses run on the engine's attached, running
+    :class:`~repro.engine.workers.WorkerPool` when there is one, and
+    in-process otherwise, one shard at a time with a cancellation check
+    between shards.
     """
     plan = engine.compile(query)
     grouped = bool(plan.query.free_variables) and binding is None
@@ -1381,39 +1278,48 @@ def execute_sharded(
             return engine.answer_group_by(query, instance)
         return engine.answer(query, instance, binding)
 
-    pool = getattr(engine, "worker_pool", None)
-    pool_running = pool is not None and pool.is_running
-    if max_workers is not None:
-        workers = max(1, max_workers)
-    elif pool_running:
-        workers = pool.size
-    else:
-        workers = engine.batch_workers
-    workers = min(workers, len(shard_plan.shards))
-    summaries: Optional[List[object]] = None
-    if workers > 1:
-        if pool_running:
-            summaries = _pool_summaries(
-                pool, plan.query, instance, shard_plan, binding, grouped, strategy
-            )
-        else:
-            summaries = _parallel_summaries(
-                engine.config(),
-                plan.query,
-                shard_plan.shards,
-                binding,
-                grouped,
-                workers,
-            )
-    if summaries is None:  # serial path (requested, or pool unavailable)
-        summaries = []
-        for index in range(len(shard_plan.shards)):
-            # Shard boundaries are the sharded executor's cancellation
-            # points: an abandoned request stops before its next shard.
-            check_cancelled()
-            summaries.append(
-                cached_shard_summary(plan, shard_plan, index, binding, grouped)
-            )
+    keys = [
+        summary_cache_key(shard_plan, plan.key, index, binding, grouped)
+        for index in range(len(shard_plan.shards))
+    ]
+    summaries = [_cached_summary(key, index) for index, key in enumerate(keys)]
+    missing = [index for index, summary in enumerate(summaries) if summary is None]
+    if missing:
+        computed: Optional[List[object]] = None
+        pool = getattr(engine, "worker_pool", None)
+        if pool is not None and pool.is_running:
+            # Each miss goes to its stably assigned worker, which rebuilds
+            # the partition from its resident instance: only shard indices
+            # cross the pipe.  A pool that exhausts its crash retries
+            # degrades to the in-process path instead of losing the request.
+            from repro.engine.workers import WorkerPoolError
+
+            try:
+                computed = pool.summarize_shards(
+                    plan.query,
+                    instance,
+                    len(shard_plan.shards),
+                    strategy,
+                    missing,
+                    binding=binding,
+                    grouped=grouped,
+                )
+            except WorkerPoolError:
+                computed = None
+        if computed is None:
+            computed = []
+            for index in missing:
+                # Shard boundaries are the sharded executor's cancellation
+                # points: an abandoned request stops before its next shard.
+                check_cancelled()
+                computed.append(
+                    summarize_planned_shard(
+                        plan, shard_plan, index, instance.schema, binding, grouped
+                    )
+                )
+        for index, summary in zip(missing, computed):
+            summaries[index] = summary
+            _summary_cache_put(keys[index], summary)
 
     aggregate = plan.query.aggregate
     with obs_span("shard.merge", shards=len(summaries)):

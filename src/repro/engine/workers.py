@@ -1,10 +1,10 @@
 """Long-lived engine worker processes: the process pool behind the serving layer.
 
-The batch executor and the sharded executor historically spun up a fresh
-``ProcessPoolExecutor`` per call: every request paid process start-up, cold
-plan caches, and a re-pickle of the database per chunk.  :class:`WorkerPool`
-replaces that with the executor-pool shape every production database serving
-stack uses:
+Without a pool, the batch executor spins up a fresh ``ProcessPoolExecutor``
+per call (every call pays process start-up, cold plan caches, and a
+re-pickle of the database per chunk) and the sharded executor summarises
+in-process.  :class:`WorkerPool` is the one long-lived process path, in the
+executor-pool shape every production database serving stack uses:
 
 * each worker process holds a **persistent**
   :class:`~repro.engine.engine.ConsistentAnswerEngine` — its plan cache, the
@@ -16,20 +16,21 @@ stack uses:
   loaded instance resident keyed by (name, version, schema fingerprint)
   until it is invalidated or replaced;
 * three job kinds cover the engine's CPU-bound surface — single answers
-  (closed or GROUP BY), ``answer_many`` chunks, and per-shard summarisation
-  with a **stable hashed shard→worker assignment**
-  (:func:`shard_worker_of`): a given shard of a given schema always lands on
-  the same worker, so its caches stay warm across requests and survive
-  instance re-registration;
+  (closed or GROUP BY), ``answer_many`` chunks, and summarisation of the
+  shards the caller's summary cache missed, with a **stable hashed
+  shard→worker assignment** (:func:`shard_worker_of`): a given shard of a
+  given schema always lands on the same worker, so its resident instance
+  and plans stay warm across requests and survive instance re-registration;
 * workers that crash are respawned and their in-flight jobs are retried
   once on the fresh process; a job that crashes its worker twice fails with
   a :class:`WorkerCrashError` instead of hanging the caller.
 
 The pool attaches to an engine via
 :meth:`~repro.engine.engine.ConsistentAnswerEngine.set_worker_pool`; the
-batch executor (:mod:`repro.engine.batch`) and the sharded executor
-(:mod:`repro.engine.sharding`) then submit to it instead of forking, and
-``repro.serve`` exposes the whole thing as the opt-in ``--workers N`` mode.
+batch executor (:mod:`repro.engine.batch`) then submits to it instead of
+forking, the sharded executor (:mod:`repro.engine.sharding`) sends it its
+summary-cache misses, and ``repro.serve`` exposes the whole thing as the
+opt-in ``--workers N`` mode.
 
 Transport is one job pipe and one result pipe per worker: per-worker job
 pipes are what make the stable shard assignment possible, and per-worker
@@ -254,12 +255,10 @@ def _worker_main(worker_id: int, engine_config: dict, job_conn, result_conn) -> 
     from repro.engine.sharding import (
         ShardPlanner,
         _cached_shard_plan,
-        cached_shard_summary,
+        summarize_planned_shard,
     )
 
-    config = dict(engine_config or {})
-    config["batch_workers"] = 1  # a worker never forks a nested pool
-    engine = ConsistentAnswerEngine(**config)
+    engine = ConsistentAnswerEngine(**(engine_config or {}))
     resident: Dict[str, Tuple[int, DatabaseInstance]] = {}
     counters: Dict[str, int] = {
         "jobs": 0,
@@ -334,11 +333,15 @@ def _worker_main(worker_id: int, engine_config: dict, job_conn, result_conn) -> 
                     f"worker partition has {len(shard_plan.shards)} shards, "
                     f"parent expected {shards}"
                 )
+            # No summary cache here: the dispatching process looked every
+            # shard up before sending only its misses, and stores the results.
             summaries = []
             for index in indices:
                 check_cancelled()
                 summaries.append(
-                    (index, cached_shard_summary(plan, shard_plan, index, binding, grouped))
+                    summarize_planned_shard(
+                        plan, shard_plan, index, instance.schema, binding, grouped
+                    )
                 )
             return summaries
         if kind == "invalidate":
@@ -1143,40 +1146,46 @@ class WorkerPool:
         instance: DatabaseInstance,
         shards: int,
         strategy: str,
+        indices: Sequence[int],
         binding: Optional[Dict] = None,
         grouped: bool = False,
         name: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> List[object]:
-        """Summarise every shard of ``instance`` on its stably assigned worker.
+        """Summarise shards ``indices`` of ``instance``, each on its stably
+        assigned worker; summaries come back in the order of ``indices``.
 
         Workers recompute the (deterministic, worker-side cached) shard plan
         from the resident instance, so shard contents never cross the pipe —
-        only the shard *indices* each worker owns.
+        only the shard *indices* each worker owns.  Workers keep no summary
+        cache: the sharded executor sends only the shards its own cache
+        missed.
         """
         self._ensure_running()
         ref = self.ref_for(instance, name=name)
         assignment: Dict[int, List[int]] = {}
-        for shard_index in range(shards):
+        for shard_index in indices:
             worker = shard_worker_of(ref.fingerprint, shards, shard_index, self._size)
             assignment.setdefault(worker, []).append(shard_index)
         with obs_span(
             "pool.shards", shards=shards, workers=len(assignment)
         ) as dispatch:
-            futures = [
-                self._submit(
-                    worker,
-                    "shards",
-                    (ref, query, shards, strategy, indices, binding, grouped),
-                    parent_span=dispatch,
+            jobs = [
+                (
+                    owned,
+                    self._submit(
+                        worker,
+                        "shards",
+                        (ref, query, shards, strategy, owned, binding, grouped),
+                        parent_span=dispatch,
+                    ),
                 )
-                for worker, indices in sorted(assignment.items())
+                for worker, owned in sorted(assignment.items())
             ]
-            indexed: List[Tuple[int, object]] = []
-            for future in futures:
-                indexed.extend(self._result(future, timeout))
-            indexed.sort(key=lambda pair: pair[0])
-            return [summary for _index, summary in indexed]
+            by_index: Dict[int, object] = {}
+            for owned, future in jobs:
+                by_index.update(zip(owned, self._result(future, timeout)))
+            return [by_index[index] for index in indices]
 
     def shard_assignment(self, instance: DatabaseInstance, shards: int) -> List[int]:
         """The worker index owning each shard index (stable across requests,

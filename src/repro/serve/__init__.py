@@ -16,7 +16,7 @@ The serving subsystem turns the cached, batched
 
 With ``--store-dir DIR`` the registry is backed by the durable
 :mod:`repro.store` subsystem: instances persist as snapshots, mutations
-(``POST /instances/{name}/facts``) append to a fsync'd fact log, and a
+(``PATCH /instances/{name}``) append to a fsync'd fact log, and a
 restart reloads everything with versions intact.
 
 Boot a server with ``python -m repro.serve`` (see ``--help``).

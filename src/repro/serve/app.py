@@ -12,10 +12,11 @@ Architecture (stdlib only — no third-party web framework):
   additionally runs a long-lived :class:`~repro.engine.workers.WorkerPool`
   and the thread pool merely *waits* on it: CPU-bound plan execution
   happens on persistent worker processes (sidestepping the GIL), instances
-  transfer to the workers once, sharded instances fan out with stable
-  shard→worker assignment, and ``/answer_many`` parallelises across the
-  pool by default; threads remain the execution fallback when the pool is
-  off or fails;
+  transfer to the workers once, sharded instances send the shards their
+  summary cache missed to the pool with stable shard→worker assignment
+  (the cache itself stays in this process), and ``/answer_many``
+  parallelises across the pool by default; threads remain the execution
+  fallback when the pool is off or fails;
 * admission control is a counting gate sized ``workers + max_pending``:
   when it is full the server answers ``503`` *immediately* instead of
   queueing unboundedly (load-shedding beats collapse);
@@ -29,10 +30,10 @@ Architecture (stdlib only — no third-party web framework):
 
 * with ``store_dir`` set (the CLI's ``--store-dir``) the registry is backed
   by a durable :class:`~repro.store.InstanceStore`: every registered
-  instance persists as a snapshot, every ``POST /instances/{name}/facts``
+  instance persists as a snapshot, every ``PATCH /instances/{name}``
   mutation appends to its fsync'd fact log before becoming visible, and a
   restarted server reloads the whole registry — versions intact — from the
-  same directory.  Writes take an optional ``expected_version``
+  same directory.  Writes take an optional ``If-Match: <version>``
   precondition (``409`` on mismatch).
 
 Endpoints::
@@ -41,7 +42,7 @@ Endpoints::
     POST   /answer_group_by         {"instance", "query", "timeout_s"?}
     POST   /answer_many             {"items": [{"instance", "query"}, ...], ...}
     POST   /instances               {"name", "schema", "rows", "replace"?}
-    POST   /instances/{name}/facts  {"ops": [...], "expected_version"?}
+    PATCH  /instances/{name}        {"ops": [...]} + If-Match: <version>?
     DELETE /instances/{name}        {"expected_version"?}
     GET    /instances               registered instances + fingerprints + versions
     GET    /metrics                 counters, histograms, cache + store stats
@@ -297,18 +298,18 @@ class ServeConfig:
     cache-warming path) is also the safe one: raising it makes batch
     requests fork a process pool from this multithreaded server, which on
     fork-start-method platforms can inherit locks held by other request
-    threads — only raise it on deployments that accept that risk.  The
-    same knob governs sharded execution: the engine's ``batch_workers`` is
-    built from it, so shard summarisation for instances registered with
-    ``shards > 1`` stays serial (in-thread, no fork) at the default of 1.
+    threads — only raise it on deployments that accept that risk.  Sharded
+    execution never forks: for instances registered with ``shards > 1``,
+    shard summaries run in-process on the serving thread, or on the worker
+    pool below, with one summary cache in this process either way.
 
-    ``worker_processes`` is the opt-in process mode that replaces both
-    caveats above: the server boots a long-lived
+    ``worker_processes`` is the opt-in process mode that replaces the
+    caveat above: the server boots a long-lived
     :class:`~repro.engine.workers.WorkerPool` of that many engine worker
     processes at ``start()`` — no per-request forking — and dispatches
-    CPU-bound plan execution, ``/answer_many`` chunks and shard
-    summarisation to it.  Threads remain the fallback (``0`` keeps the
-    pure thread-pool behaviour).
+    CPU-bound plan execution, ``/answer_many`` chunks and the shard
+    summaries the cache missed to it.  Threads remain the fallback (``0``
+    keeps the pure thread-pool behaviour).
 
     ``store_dir`` opts into durability: registered instances and their
     mutations persist under that directory and are reloaded at boot.
@@ -802,20 +803,6 @@ class ConsistentAnswerServer:
                     [],
                 )
             return None, (), "/instances/{name}", ["DELETE", "PATCH"]
-        if (
-            len(segments) == 3
-            and segments[0] == "instances"
-            and segments[1]
-            and segments[2] == "facts"
-        ):
-            if method == "POST":
-                return (
-                    self._handle_mutate_instance,
-                    (unquote(segments[1]),),
-                    "POST /instances/{name}/facts",
-                    [],
-                )
-            return None, (), "/instances/{name}/facts", ["POST"]
         if len(segments) == 2 and segments[0] == "traces" and segments[1]:
             if method == "GET":
                 return (
@@ -969,21 +956,14 @@ class ConsistentAnswerServer:
             self._handle_debug_top,
         ):
             handler_args = (request.query,)
-        elif handler in (  # write handlers read preconditions from headers
-            self._handle_patch_instance,
-            self._handle_mutate_instance,
-        ):
+        elif handler == self._handle_patch_instance:  # If-Match precondition
             handler_args = handler_args + (request.headers,)
         self.metrics.request_started()
         started = time.perf_counter()
         response_headers: Dict[str, str] = {}
         try:
             payload_in = loads(request.body)
-            result = await handler(payload_in, *handler_args)
-            if len(result) == 3:  # (status, payload, extra response headers)
-                status, payload, response_headers = result
-            else:
-                status, payload = result
+            status, payload = await handler(payload_in, *handler_args)
         except (asyncio.TimeoutError, JobCancelledError):
             # JobCancelledError is the same deadline observed from the other
             # side: the job's own token expired at a cancellation point just
@@ -1002,10 +982,7 @@ class ConsistentAnswerServer:
                 payload["error"]["reason"] = exc.reason
                 if exc.decision is not None:
                     payload["error"]["admission"] = exc.decision.to_payload()
-                response_headers = {
-                    **response_headers,
-                    "Retry-After": str(exc.retry_after_s or 1),
-                }
+                response_headers = {"Retry-After": str(exc.retry_after_s or 1)}
         self.metrics.request_finished(
             endpoint,
             status,
@@ -1224,10 +1201,10 @@ class ConsistentAnswerServer:
         In process mode, unsharded execution goes to a worker's persistent
         engine (the instance ships once, keyed by registry name so the
         shard assignment survives re-registration); sharded execution stays
-        on the parent engine, whose sharded executor fans the shard
-        summaries out across the pool with stable assignment.  ``binding``
-        of ``None`` with free variables means GROUP BY (both here and on
-        the worker).
+        on the parent engine, whose sharded executor looks every shard up
+        in this process's summary cache and sends only the misses to the
+        pool, with stable assignment.  ``binding`` of ``None`` with free
+        variables means GROUP BY (both here and on the worker).
         """
         pool = self._pool
         if pool is not None and pool.is_running and shards is None:
@@ -1399,16 +1376,22 @@ class ConsistentAnswerServer:
         except WorkerPoolError:
             pass  # pool mid-shutdown: the write itself already committed
 
-    async def _mutate_instance(
-        self, payload: object, name: str, headers: Optional[Mapping]
-    ) -> Dict[str, object]:
-        """The shared durable write path behind PATCH and the legacy POST.
+    async def _handle_patch_instance(
+        self, payload: object, name: str, headers: Optional[Mapping] = None
+    ) -> Tuple[int, object]:
+        """``PATCH /instances/{name}`` — the durable write path.
+
+        Body: ``{"ops": [{"op": "add"|"remove", "relation": R,
+        "values": [...]}, ...]}``; optimistic concurrency via
+        ``If-Match: <version>`` (or a body-level ``expected_version``),
+        answered with 409 on mismatch, so concurrent writers get clean
+        409s instead of silent interleavings.  The response reports the
+        write's blast radius: the new ``version``, the ``touched_blocks``,
+        and the canonical ``shards_invalidated`` slots.
 
         The mutation (copy-on-write apply + fsync'd log append) runs on the
         engine pool via :meth:`_dispatch` so disk I/O never blocks the
-        event loop; the ``If-Match`` header (or a body-level
-        ``expected_version``) turns concurrent writers into clean 409s
-        instead of silent interleavings.
+        event loop.
 
         Timeout semantics are at-most-once-but-maybe-committed: a 504 means
         the *response* was abandoned, while the mutation thread may still
@@ -1429,7 +1412,7 @@ class ConsistentAnswerServer:
             return outcome
 
         outcome = await self._dispatch(work, timeout)
-        return {
+        return 200, {
             "mutated": outcome.describe(),
             "applied": len(ops),
             "version": outcome.version,
@@ -1437,35 +1420,6 @@ class ConsistentAnswerServer:
                 encode_block_key(key) for key in outcome.touched_blocks
             ],
             "shards_invalidated": list(outcome.shards_invalidated),
-        }
-
-    async def _handle_patch_instance(
-        self, payload: object, name: str, headers: Optional[Mapping] = None
-    ) -> Tuple[int, object]:
-        """``PATCH /instances/{name}`` — the typed mutation envelope.
-
-        Body: ``{"ops": [{"op": "add"|"remove", "relation": R,
-        "values": [...]}, ...]}``; optimistic concurrency via
-        ``If-Match: <version>``, answered with 409 on mismatch.  The
-        response reports the write's blast radius: the new ``version``,
-        the ``touched_blocks``, and the canonical ``shards_invalidated``
-        slots.
-        """
-        return 200, await self._mutate_instance(payload, name, headers)
-
-    async def _handle_mutate_instance(
-        self, payload: object, name: str, headers: Optional[Mapping] = None
-    ) -> Tuple[int, object, Dict[str, str]]:
-        """``POST /instances/{name}/facts`` — deprecated alias of PATCH.
-
-        Kept as a thin shim over the same write path for existing clients;
-        every response carries a ``Deprecation`` header pointing at the
-        successor route.
-        """
-        body = await self._mutate_instance(payload, name, headers)
-        return 200, body, {
-            "Deprecation": "true",
-            "Link": f'</instances/{name}>; rel="successor-version"',
         }
 
     async def _handle_drop_instance(

@@ -228,7 +228,7 @@ MutationOpPayload = Tuple[str, str, Tuple[Constant, ...]]
 
 
 def decode_mutation_ops(payload: Mapping) -> List[MutationOpPayload]:
-    """Decode the ``"ops"`` list of ``POST /instances/{name}/facts``.
+    """Decode the ``"ops"`` list of ``PATCH /instances/{name}``.
 
     Each op is ``{"op": "add"|"remove", "relation": R, "values": [...]}``
     (the long spellings ``add_fact`` / ``remove_fact`` are accepted too);

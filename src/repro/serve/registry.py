@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.datamodel.facts import Constant, Fact
 from repro.datamodel.instance import BlockKey, DatabaseInstance, canonical_shard_slot
 from repro.engine.plan import schema_fingerprint
-from repro.engine.sharding import note_summary_invalidations
 from repro.exceptions import ReproError
 from repro.obs.caches import label_instance
 from repro.serve.protocol import instance_from_payload
@@ -387,7 +386,6 @@ class InstanceRegistry:
             )
             with self._lock:
                 self._instances[name] = new_entry
-            note_summary_invalidations(len(slots), lineage=mutated.lineage)
             self._notify("mutate", name)
         return MutationOutcome(
             entry=new_entry,

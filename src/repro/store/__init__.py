@@ -9,8 +9,8 @@ The store gives the serving layer a write path and restart survival:
   drops, and boot reload (:meth:`InstanceStore.open_all`).
 
 ``repro.serve`` wires it up as ``--store-dir DIR``: registered instances
-persist, ``POST /instances/{name}/facts`` mutations append to the log, and
-a restarted server serves the mutated state with its version intact.
+persist, ``PATCH /instances/{name}`` mutations append to the log, and a
+restarted server serves the mutated state with its version intact.
 """
 
 from repro.store.log import (

@@ -345,9 +345,11 @@ class TestServerCacheTelemetry:
         assert summary["eviction_ages"]["count"] == summary["evictions"]
         # lineage tokens were translated to registry names
         assert set(tenants) <= set(summary["by_instance"])
-        mutated = summary["by_instance"]["tenant_b"]
-        assert mutated.get("invalidations", 0) > 0
-        assert summary["extra"]["invalidations"] > 0
+        # every lookup is attributed to its tenant, tenant_b's after the
+        # write included (the mutated copy keeps its lineage): 3 rounds x 2
+        for name in tenants:
+            row = summary["by_instance"][name]
+            assert row["hits"] + row["misses"] == 6
 
         plan = by_name["plan_cache"]
         assert plan["capacity"] == 256

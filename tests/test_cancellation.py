@@ -142,7 +142,7 @@ class TestEngineCancellationPoints:
         token.cancel()
         with token_scope(token):
             with pytest.raises(JobCancelledError):
-                execute_sharded(engine, query, fig1_stock_instance(), 3, max_workers=1)
+                execute_sharded(engine, query, fig1_stock_instance(), 3)
 
     def test_fork_chunk_payload_deadline_self_aborts(self):
         # _run_chunk is the fork-pool entry point; calling it in-process

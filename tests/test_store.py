@@ -594,7 +594,7 @@ class TestServeMutation:
                 {},
             ):
                 status, body = await client.request(
-                    "POST", "/instances/stock/facts", payload
+                    "PATCH", "/instances/stock", payload
                 )
                 assert status == 400
                 assert body["error"]["type"] == "ProtocolError"
@@ -622,14 +622,16 @@ class TestServeMutation:
             with pytest.raises(ServeClientError) as err:
                 await client.mutate_instance("ghost", [("add", *NEW_FACT)])
             assert err.value.status == 404
-            status, _body = await client.request("GET", "/instances/stock/facts")
-            assert status == 405
             status, _body = await client.request("POST", "/instances/stock")
             assert status == 405
+            # the removed POST /instances/{name}/facts alias is no route
+            status, _body = await client.request(
+                "POST", "/instances/stock/facts", {"ops": []}
+            )
+            assert status == 404
             # 405s on dynamic routes label metrics with the path *template*,
             # not the raw instance name (bounded cardinality)
             metrics = await client.metrics()
-            assert "/instances/{name}/facts" in metrics["requests_total"]
             assert "/instances/{name}" in metrics["requests_total"]
             assert "/instances/stock" not in metrics["requests_total"]
 
@@ -740,33 +742,6 @@ class TestPatchMutationApi:
                 )
                 assert status == 400
                 assert body["error"]["type"] == "ProtocolError"
-
-        serve_scenario(scenario)
-
-    def test_deprecated_post_route_still_works_and_says_so(self):
-        async def scenario(server, client):
-            status, body = await client.request(
-                "POST",
-                "/instances/stock/facts",
-                {**self.OPS, "expected_version": 1},
-            )
-            assert status == 200
-            assert body["version"] == 2
-            assert body["touched_blocks"]
-            headers = client.last_response_headers
-            assert headers.get("deprecation") == "true"
-            assert 'rel="successor-version"' in headers.get("link", "")
-            # the shim shares the PATCH write path: the write is real
-            after = await client.answer("stock", STOCK_SUM)
-            engine = ConsistentAnswerEngine()
-            expected = engine.answer(
-                parse_aggregation_query(fig1_stock_schema(), STOCK_SUM),
-                DatabaseInstance(
-                    fig1_stock_schema(),
-                    fig1_stock_instance().facts | {Fact(*NEW_FACT)},
-                ),
-            )
-            assert after == expected
 
         serve_scenario(scenario)
 

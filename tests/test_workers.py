@@ -23,6 +23,7 @@ from repro.engine import (
     ConsistentAnswerEngine,
     WorkerCrashError,
     WorkerPool,
+    clear_summary_cache,
 )
 from repro.engine.workers import WorkerPoolError, shard_worker_of
 from repro.workloads.generators import (
@@ -284,7 +285,9 @@ class TestStableShardAssignment:
         plan = engine.compile(query)
         with WorkerPool(workers=2, engine_config=engine.config()) as pool:
             assignment = set(pool.shard_assignment(instance, 4))
-            pool.summarize_shards(plan.query, instance, 4, "balanced", binding={})
+            pool.summarize_shards(
+                plan.query, instance, 4, "balanced", range(4), binding={}
+            )
             stats = pool.stats()
             workers_with_shard_jobs = {
                 w["worker"] for w in stats["per_worker"] if w.get("shard_jobs")
@@ -381,6 +384,9 @@ class TestPoolParity:
         group_baseline = engine.answer_group_by(
             group_query, instance, AnswerOptions(shards=3)
         )
+        # The baselines filled this process's summary cache; without it the
+        # pooled answers below miss every shard and summarise on the pool.
+        clear_summary_cache()
         with WorkerPool(workers=2, engine_config=engine.config()) as pool:
             engine.set_worker_pool(pool)
             try:
@@ -511,6 +517,48 @@ class TestServeWorkerMode:
         assert pool_stats["jobs_submitted"] >= 1
         assert len(pool_stats["per_worker"]) == 2
         assert health["worker_processes"] == 2
+
+    def test_summary_cache_hits_show_in_worker_mode_telemetry(self):
+        """A repeated sharded GROUP BY on a ``--workers 2`` server is served
+        from the serving process's summary cache, and both telemetry views
+        (``/metrics`` and ``/debug/caches``) say so."""
+        from repro.serve import ConsistentAnswerServer, ServeClient, ServeConfig
+
+        group_query = "(t, SUM(y)) <- Stock(p, t, y)"
+        instance = _workload(11, stock_facts=40)
+        shards = 4
+
+        async def scenario():
+            server = ConsistentAnswerServer(
+                ServeConfig(port=0, workers=2, worker_processes=2)
+            )
+            await server.start()
+            try:
+                async with ServeClient(*server.address) as client:
+                    await client.register_instance("sharded", instance, shards=shards)
+                    first = await client.answer_group_by("sharded", group_query)
+                    jobs = (await client.metrics())["worker_pool"]["jobs_submitted"]
+                    second = await client.answer_group_by("sharded", group_query)
+                    metrics = await client.metrics()
+                    status, body = await client.request("GET", "/debug/caches")
+                    assert status == 200
+                return first, second, jobs, metrics, body["caches"]
+            finally:
+                await server.stop()
+
+        clear_summary_cache()
+        first, second, jobs, metrics, caches = self._serve(scenario())
+        assert first == second
+        summary = metrics["sharding"]["summary_cache"]
+        assert (summary["misses"], summary["hits"]) == (shards, shards)
+        report = next(r for r in caches if r["name"] == "summary_cache")
+        assert report["hits"] == shards
+        assert report["by_instance"]["sharded"]["hits"] == shards
+        pool = metrics["worker_pool"]
+        # The cold answer's misses ran on the workers; the repeated answer
+        # came from the cache and sent the pool nothing.
+        assert sum(w.get("shard_jobs", 0) for w in pool["per_worker"]) >= 1
+        assert pool["jobs_submitted"] == jobs
 
     def test_worker_killed_mid_request_releases_the_gate(self):
         """The PR's serve bugfix contract: a worker crash mid-request must
