@@ -29,11 +29,11 @@ from repro.core.minmax import MinMaxRangeEvaluator
 from repro.datamodel.facts import Constant
 from repro.datamodel.instance import DatabaseInstance
 from repro.exceptions import BackendError
+from repro.obs.caches import PlanCache, register_cache
 from repro.query.aggregation import AggregationQuery
 from repro.sql.backend import SqliteBackend
 from repro.sql.generator import GeneratedSql, SqlRewritingGenerator
 
-from repro.engine.cache import PlanCache
 from repro.engine.plan import (
     PlanKey,
     REWRITING_STRATEGIES,
@@ -99,8 +99,6 @@ clear_sql_memo()
 # telemetry at import.  The provider re-reads the module global on every
 # call: clear_sql_memo() rebinds it, and a captured reference would keep
 # reporting a cache nobody uses anymore.
-from repro.obs.caches import register_cache  # noqa: E402
-
 register_cache("sql_memo", lambda: _SQL_MEMO.report("sql_memo"))
 
 

@@ -27,7 +27,7 @@ from repro.datamodel.facts import Constant
 from repro.datamodel.instance import DatabaseInstance
 from repro.embeddings.embeddings import embeddings_of
 from repro.exceptions import BackendError
-from repro.obs.caches import register_cache
+from repro.obs.caches import CacheStats, PlanCache, register_cache
 from repro.obs.cost import add_cost
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
@@ -39,7 +39,6 @@ from repro.engine.backends import (
     PreparedExecutor,
     create_backend,
 )
-from repro.engine.cache import CacheStats, PlanCache
 from repro.engine.plan import (
     QueryPlan,
     STRATEGY_BRANCH_AND_BOUND,

@@ -69,9 +69,8 @@ from __future__ import annotations
 
 import heapq
 import threading
-import time
 import weakref
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -85,13 +84,7 @@ from repro.datamodel.signature import Schema
 from repro.embeddings.embeddings import embeddings_of
 from repro.engine.cancellation import check_cancelled
 from repro.exceptions import BackendError
-from repro.obs.caches import (
-    CACHE_REGISTRY,
-    EvictionAges,
-    approx_sizeof,
-    cache_report,
-    register_cache,
-)
+from repro.obs.caches import CACHE_REGISTRY, PlanCache, register_cache
 from repro.obs.cost import add_cost
 from repro.obs.trace import span as obs_span
 from repro.query.aggregation import AggregationQuery
@@ -888,46 +881,24 @@ def clear_shard_plan_cache() -> None:
 # abandoned wholesale on every mutation.  The content token (see
 # :class:`ShardPlan`) folds each block's mutation stamp, drawn from a clock
 # shared across the whole copy family, so a stale entry is unreachable by
-# construction and invalidation is implicit.  Bounded LRU; stats mirror the
-# ``repro_summary_cache_{hits,misses}_total`` counters.  Lookups and stores
-# happen only in the process that runs :func:`execute_sharded` — pool
+# construction and invalidation is implicit.  The cache is one bounded
+# :class:`PlanCache`, the only ledger of its hits, misses and evictions: the
+# cache registry reports it (lookups attributed per lineage, ``key[0]``) and
+# publishes it as ``repro_cache_*{cache="summary_cache"}``.  Lookups and
+# stores happen only in the process that runs :func:`execute_sharded` — pool
 # workers compute misses without touching a cache — so there is one cache
-# and one set of counters per serving process.
+# and one ledger per serving process.
 
-_SUMMARY_CACHE_LOCK = threading.Lock()
-_SUMMARY_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
-_SUMMARY_CACHE_CAPACITY = [512]
-_SUMMARY_CACHE_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
-# Per-lineage attribution (key[0] is the instance's lineage token; the cache
-# registry translates tokens to registry names at report time), insert
-# timestamps backing the eviction-age histogram, and a cap keeping the
-# attribution map bounded in long-running multi-tenant processes.
-_SUMMARY_BY_LINEAGE: Dict[str, Dict[str, int]] = {}
-_SUMMARY_BY_LINEAGE_MAX = 4096
-_SUMMARY_INSERTED: Dict[tuple, float] = {}
-_SUMMARY_AGES = EvictionAges()
+_SUMMARY_CACHE_SIZE = 512
 
 
-def _summary_lineage_counts(lineage: str) -> Dict[str, int]:
-    """The per-lineage counter row, creating (and bounding) as needed."""
-    counts = _SUMMARY_BY_LINEAGE.get(lineage)
-    if counts is None:
-        if len(_SUMMARY_BY_LINEAGE) >= _SUMMARY_BY_LINEAGE_MAX:
-            _SUMMARY_BY_LINEAGE.pop(next(iter(_SUMMARY_BY_LINEAGE)))
-        counts = _SUMMARY_BY_LINEAGE[lineage] = {"hits": 0, "misses": 0, "evictions": 0}
-    return counts
-
-_SUMMARY_CACHE_HELP = {
-    "repro_summary_cache_hits_total": "Shard summaries served from the cache",
-    "repro_summary_cache_misses_total": "Shard summaries recomputed on a miss",
-}
+def _new_summary_cache(capacity: int) -> PlanCache:
+    cache = PlanCache(_SUMMARY_CACHE_SIZE, attribute=lambda key: key[0])
+    cache.resize(capacity)
+    return cache
 
 
-def _summary_counter(kind: str):
-    from repro.obs.metrics import REGISTRY
-
-    name = f"repro_summary_cache_{kind}_total"
-    return REGISTRY.counter(name, _SUMMARY_CACHE_HELP[name])
+_SUMMARY_CACHE = _new_summary_cache(_SUMMARY_CACHE_SIZE)
 
 
 def summary_cache_key(
@@ -953,38 +924,6 @@ def summary_cache_key(
     return (shard_plan.lineage, plan_key, mode, shard_plan.shard_tokens[index])
 
 
-def _summary_cache_get(key: tuple) -> Optional[object]:
-    with _SUMMARY_CACHE_LOCK:
-        value = _SUMMARY_CACHE.get(key)
-        outcome = "hits" if value is not None else "misses"
-        if value is not None:
-            _SUMMARY_CACHE.move_to_end(key)
-        _SUMMARY_CACHE_COUNTS[outcome] += 1
-        _summary_lineage_counts(str(key[0]))[outcome] += 1
-    _summary_counter(outcome).inc()
-    return value
-
-
-def _summary_cache_evict_locked(now: float) -> None:
-    evicted_key, _ = _SUMMARY_CACHE.popitem(last=False)
-    _SUMMARY_CACHE_COUNTS["evictions"] += 1
-    _summary_lineage_counts(str(evicted_key[0]))["evictions"] += 1
-    inserted = _SUMMARY_INSERTED.pop(evicted_key, None)
-    if inserted is not None:
-        _SUMMARY_AGES.observe(now - inserted)
-
-
-def _summary_cache_put(key: tuple, value: object) -> None:
-    now = time.monotonic()
-    with _SUMMARY_CACHE_LOCK:
-        if key not in _SUMMARY_CACHE:
-            _SUMMARY_INSERTED[key] = now
-        _SUMMARY_CACHE[key] = value
-        _SUMMARY_CACHE.move_to_end(key)
-        while len(_SUMMARY_CACHE) > _SUMMARY_CACHE_CAPACITY[0]:
-            _summary_cache_evict_locked(now)
-
-
 def _cached_summary(key: tuple, index: int) -> Optional[object]:
     """The cached summary of shard ``index`` under ``key``, or ``None``.
 
@@ -992,7 +931,7 @@ def _cached_summary(key: tuple, index: int) -> Optional[object]:
     into fresh accumulators.
     """
     with obs_span("shard.summary_cache", shard=index) as span:
-        cached = _summary_cache_get(key)
+        cached = _SUMMARY_CACHE.get(key)
         if span is not None:
             span.set_tag("outcome", "hit" if cached is not None else "miss")
     add_cost("summary_cache_hits" if cached is not None else "summary_cache_misses")
@@ -1001,32 +940,25 @@ def _cached_summary(key: tuple, index: int) -> Optional[object]:
 
 def summary_cache_stats() -> Dict[str, int]:
     """Hit/miss/eviction counters and size of the shard-summary cache."""
-    with _SUMMARY_CACHE_LOCK:
-        stats = dict(_SUMMARY_CACHE_COUNTS)
-        stats["entries"] = len(_SUMMARY_CACHE)
-        stats["capacity"] = _SUMMARY_CACHE_CAPACITY[0]
-        return stats
+    stats = _SUMMARY_CACHE.stats()
+    return {
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "evictions": stats.evictions,
+        "entries": stats.size,
+        "capacity": stats.maxsize,
+    }
 
 
 def clear_summary_cache() -> None:
     """Reset the shard-summary cache and its counters (test hook)."""
-    with _SUMMARY_CACHE_LOCK:
-        _SUMMARY_CACHE.clear()
-        _SUMMARY_INSERTED.clear()
-        _SUMMARY_BY_LINEAGE.clear()
-        _SUMMARY_AGES.reset()
-        for counter in _SUMMARY_CACHE_COUNTS:
-            _SUMMARY_CACHE_COUNTS[counter] = 0
+    global _SUMMARY_CACHE
+    _SUMMARY_CACHE = _new_summary_cache(_SUMMARY_CACHE.maxsize)
 
 
 def configure_summary_cache(capacity: int) -> None:
     """Bound the shard-summary cache to ``capacity`` entries (LRU evicted)."""
-    capacity = max(0, int(capacity))
-    now = time.monotonic()
-    with _SUMMARY_CACHE_LOCK:
-        _SUMMARY_CACHE_CAPACITY[0] = capacity
-        while len(_SUMMARY_CACHE) > capacity:
-            _summary_cache_evict_locked(now)
+    _SUMMARY_CACHE.resize(int(capacity))
 
 
 def summary_cache_report() -> Dict[str, object]:
@@ -1036,28 +968,8 @@ def summary_cache_report() -> Dict[str, object]:
     them (``CACHE_REGISTRY.label_instance``); unlabelled tokens pass through
     raw so library users still get attribution, just with opaque keys.
     """
-    with _SUMMARY_CACHE_LOCK:
-        counts = dict(_SUMMARY_CACHE_COUNTS)
-        size = len(_SUMMARY_CACHE)
-        capacity = _SUMMARY_CACHE_CAPACITY[0]
-        by_lineage = {k: dict(v) for k, v in _SUMMARY_BY_LINEAGE.items()}
-        sample = list(_SUMMARY_CACHE.values())[:16]
-    by_instance: Dict[str, Dict[str, int]] = {}
-    for lineage, row in by_lineage.items():
-        label = CACHE_REGISTRY.instance_label(lineage)
-        merged = by_instance.setdefault(label, {})
-        for name, value in row.items():
-            merged[name] = merged.get(name, 0) + value
-    return cache_report(
-        "summary_cache",
-        size=size,
-        capacity=capacity,
-        hits=counts["hits"],
-        misses=counts["misses"],
-        evictions=counts["evictions"],
-        by_instance=by_instance,
-        eviction_ages=_SUMMARY_AGES.snapshot(),
-        approx_bytes=approx_sizeof(sample, total=size),
+    return _SUMMARY_CACHE.report(
+        "summary_cache", label=CACHE_REGISTRY.instance_label
     )
 
 
@@ -1319,7 +1231,7 @@ def execute_sharded(
                 )
         for index, summary in zip(missing, computed):
             summaries[index] = summary
-            _summary_cache_put(keys[index], summary)
+            _SUMMARY_CACHE.put(keys[index], summary)
 
     aggregate = plan.query.aggregate
     with obs_span("shard.merge", shards=len(summaries)):

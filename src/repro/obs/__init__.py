@@ -10,16 +10,20 @@ depend on it without cycles:
   ``GET /traces/{id}`` and explain mode.
 * :mod:`repro.obs.log` — one-line structured-JSON logging that stamps the
   active trace id.
-* :mod:`repro.obs.metrics` — process-global counters/gauges/histograms for
-  signals below the HTTP layer (spool hits, fsync latency, ...).
-* :mod:`repro.obs.prometheus` — hand-rolled text exposition over both the
-  server snapshot and the registry.
+* :mod:`repro.obs.metrics` — the one metrics model: counters, gauges and
+  labelled histograms with exemplars, in registries.  The process-global
+  ``REGISTRY`` holds signals below the HTTP layer (fsync latency, cache
+  mirrors, ...); each server owns one more for its request metrics, and
+  both its JSON ``/metrics`` and its Prometheus page read them.
+* :mod:`repro.obs.prometheus` — hand-rolled text exposition of registries.
+* :mod:`repro.obs.caches` — the one LRU ledger (``PlanCache``) and the
+  common report schema behind ``GET /debug/caches``.
 * :mod:`repro.obs.sample` — head 1-in-N sampling with a tail-based keep
   rule (slow/error traces are always retained).
 * :mod:`repro.obs.export` — OTLP/JSON span export with a bounded queue and
   a background flush thread (NDJSON file or HTTP POST sinks).
-* :mod:`repro.obs.cost` — per-span CPU/domain-counter rollup into a
-  bounded per-(instance, plan) cost table behind ``GET /debug/top``.
+* :mod:`repro.obs.cost` — per-span domain-counter rollup and engine CPU
+  into a bounded per-(instance, plan) cost table behind ``GET /debug/top``.
 * :mod:`repro.obs.runtime` — event-loop lag probe gauge.
 """
 
@@ -33,7 +37,6 @@ from repro.obs.buffer import TraceBuffer
 from repro.obs.caches import (
     CACHE_REGISTRY,
     CacheStatsRegistry,
-    EvictionAges,
     approx_sizeof,
     cache_report,
     label_instance,
@@ -85,7 +88,6 @@ __all__ = [
     "Counter",
     "DroppedTraceLog",
     "EventLoopLagProbe",
-    "EvictionAges",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -1,10 +1,14 @@
-"""Unified cache telemetry: one registry, one report schema, five caches.
+"""Unified cache telemetry: one LRU ledger, one report schema, five caches.
 
-The stack grew five distinct caches — the engine plan cache, the
-process-wide SQL memo, the sharded summary cache, the worker-pool spool
-residency, and the cost table — each with its own ad-hoc stats dict.
-This module gives them one reporting surface:
+The stack has five caches — the engine plan cache, the process-wide SQL
+memo, the sharded summary cache, the worker-pool spool residency, and the
+cost table.  This module gives them one ledger and one reporting surface:
 
+* :class:`PlanCache` — the bounded, thread-safe LRU that four of them are
+  built on (the spool's residency lives in worker processes and reports
+  through :func:`cache_report` directly).  It counts hits, misses and
+  evictions once, records entry ages at eviction, and optionally
+  attributes each lookup and eviction to a label derived from the key.
 * :class:`CacheStatsRegistry` — caches register a zero-argument *provider*
   under a stable name; :meth:`CacheStatsRegistry.snapshot` calls every
   provider (each inside its own ``cache.stats`` span, so scrapes are
@@ -14,9 +18,6 @@ This module gives them one reporting surface:
 * :func:`cache_report` — the schema constructor: size, capacity,
   hit/miss/eviction counters, hit rate, per-``instance`` attribution,
   an eviction-age histogram, and approximate resident bytes.
-* :class:`EvictionAges` — a fixed-bound, monotone-bucketed histogram of
-  entry ages at eviction (how long entries live before the LRU pushes
-  them out — the signal for "this cache is sized wrong").
 * :func:`approx_sizeof` — recursive ``sys.getsizeof`` over a *sample* of
   entries, extrapolated to the population; exact sizing of thousands of
   plan objects on every scrape would cost more than the caches save.
@@ -33,10 +34,26 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+import time
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
-from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.obs.metrics import REGISTRY, Histogram, MetricsRegistry
 from repro.obs.trace import span as obs_span
+
+V = TypeVar("V")
 
 #: Eviction-age bucket upper bounds, in seconds (strictly increasing; the
 #: implicit final bucket is +Inf).  Spans sub-second churn through
@@ -47,48 +64,6 @@ DEFAULT_AGE_BOUNDS: Tuple[float, ...] = (0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0, 
 #: A provider returns a report dict (see :func:`cache_report`) or ``None``
 #: to be skipped (cache gone, pool closed, weakref dead).
 Provider = Callable[[], Optional[Dict[str, Any]]]
-
-
-class EvictionAges:
-    """Monotone-bucketed histogram of entry ages at eviction (seconds)."""
-
-    def __init__(self, bounds: Sequence[float] = DEFAULT_AGE_BOUNDS) -> None:
-        bounds = tuple(float(b) for b in bounds)
-        if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("EvictionAges bounds must be strictly increasing")
-        self.bounds = bounds
-        self._lock = threading.Lock()
-        self._counts = [0] * (len(bounds) + 1)  # +1 for +Inf
-        self._sum = 0.0
-        self._count = 0
-
-    def observe(self, age_seconds: float) -> None:
-        age_seconds = max(0.0, float(age_seconds))
-        index = 0
-        for index, bound in enumerate(self.bounds):  # noqa: B007
-            if age_seconds <= bound:
-                break
-        else:
-            index = len(self.bounds)
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += age_seconds
-            self._count += 1
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts = [0] * (len(self.bounds) + 1)
-            self._sum = 0.0
-            self._count = 0
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "bounds": list(self.bounds),
-                "counts": list(self._counts),
-                "count": self._count,
-                "sum_seconds": round(self._sum, 6),
-            }
 
 
 def _deep_sizeof(obj: Any, seen: set, depth: int) -> int:
@@ -182,6 +157,189 @@ def cache_report(
     if extra:
         report["extra"] = dict(extra)
     return report
+
+
+@dataclass(frozen=True)
+class CacheStats:
+    """Immutable snapshot of the cache counters."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    size: int = 0
+    maxsize: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from cache (0.0 when never probed)."""
+        return self.hits / self.lookups if self.lookups else 0.0
+
+    def __str__(self) -> str:
+        return (
+            f"hits={self.hits} misses={self.misses} evictions={self.evictions} "
+            f"size={self.size}/{self.maxsize} hit_rate={self.hit_rate:.2%}"
+        )
+
+
+class PlanCache(Generic[V]):
+    """A bounded, thread-safe LRU and the one ledger of its cache.
+
+    Hits, misses and evictions are counted here and nowhere else; each
+    eviction records the entry's age in an unregistered :class:`Histogram`
+    over :data:`DEFAULT_AGE_BOUNDS`.  With ``attribute``, every lookup and
+    eviction is also counted under ``attribute(key)`` — at most
+    :attr:`MAX_ATTRIBUTED` labels, the oldest dropped first, so
+    long-running multi-tenant processes stay bounded.
+    """
+
+    MAX_ATTRIBUTED = 4096
+
+    def __init__(
+        self,
+        maxsize: int = 128,
+        attribute: Optional[Callable[[Hashable], str]] = None,
+    ) -> None:
+        if maxsize < 1:
+            raise ValueError("cache maxsize must be >= 1")
+        self._maxsize = maxsize
+        self._entries: "OrderedDict[Hashable, V]" = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._inserted_at: Dict[Hashable, float] = {}
+        self._ages = Histogram("cache_eviction_age_seconds", "", DEFAULT_AGE_BOUNDS)
+        self._attribute = attribute
+        self._attributed: Dict[str, Dict[str, int]] = {}
+
+    @property
+    def maxsize(self) -> int:
+        return self._maxsize
+
+    def _attribute_locked(self, key: Hashable, outcome: str) -> None:
+        if self._attribute is None:
+            return
+        label = self._attribute(key)
+        row = self._attributed.get(label)
+        if row is None:
+            if len(self._attributed) >= self.MAX_ATTRIBUTED:
+                self._attributed.pop(next(iter(self._attributed)))
+            row = self._attributed[label] = {"hits": 0, "misses": 0, "evictions": 0}
+        row[outcome] += 1
+
+    def get(self, key: Hashable) -> Optional[V]:
+        """Return the cached value and mark it most-recently-used, or None."""
+        with self._lock:
+            try:
+                value = self._entries[key]
+            except KeyError:
+                self._misses += 1
+                self._attribute_locked(key, "misses")
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            self._attribute_locked(key, "hits")
+            return value
+
+    def peek(self, key: Hashable) -> Optional[V]:
+        """The cached value or None, without counting or touching LRU order."""
+        with self._lock:
+            return self._entries.get(key)
+
+    def put(self, key: Hashable, value: V) -> None:
+        """Insert (or refresh) an entry, evicting the LRU one when full."""
+        now = time.monotonic()
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                self._entries[key] = value
+                return
+            self._entries[key] = value
+            self._inserted_at[key] = now
+            self._evict_locked(now)
+
+    def resize(self, maxsize: int) -> None:
+        """Re-bound the cache (0 caches nothing), evicting LRU-first."""
+        with self._lock:
+            self._maxsize = max(0, maxsize)
+            self._evict_locked(time.monotonic())
+
+    def _evict_locked(self, now: float) -> None:
+        while len(self._entries) > self._maxsize:
+            key, _ = self._entries.popitem(last=False)
+            self._evictions += 1
+            self._ages.observe(now - self._inserted_at.pop(key))
+            self._attribute_locked(key, "evictions")
+
+    def clear(self) -> None:
+        """Drop every entry (statistics are kept; clears are not evictions)."""
+        with self._lock:
+            self._entries.clear()
+            self._inserted_at.clear()
+
+    def items(self) -> List[Tuple[Hashable, V]]:
+        """A snapshot of the entries, least-recently-used first."""
+        with self._lock:
+            return list(self._entries.items())
+
+    def stats(self) -> CacheStats:
+        with self._lock:
+            return CacheStats(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                size=len(self._entries),
+                maxsize=self._maxsize,
+            )
+
+    def report(
+        self, name: str, label: Callable[[str], str] = str
+    ) -> Dict[str, object]:
+        """This cache in the common report schema.
+
+        ``label`` turns attribution keys into ``by_instance`` labels; keys
+        that share a label are summed.  Value sizing samples up to 16
+        entries under the lock and measures them outside it — the deep
+        ``sys.getsizeof`` walk must not stall concurrent lookups.
+        """
+        stats = self.stats()
+        with self._lock:
+            rows = [(key, dict(row)) for key, row in self._attributed.items()]
+            sample: List[V] = list(itertools.islice(self._entries.values(), 16))
+        by_instance: Dict[str, Dict[str, int]] = {}
+        for key, row in rows:
+            merged = by_instance.setdefault(label(key), {})
+            for outcome, count in row.items():
+                merged[outcome] = merged.get(outcome, 0) + count
+        ages = self._ages.snapshot()
+        return cache_report(
+            name,
+            size=stats.size,
+            capacity=stats.maxsize,
+            hits=stats.hits,
+            misses=stats.misses,
+            evictions=stats.evictions,
+            by_instance=by_instance,
+            eviction_ages={
+                "bounds": list(self._ages.bounds),
+                "counts": list(ages["buckets"].values()),
+                "count": ages["count"],
+                "sum_seconds": round(ages["sum_seconds"], 6),
+            },
+            approx_bytes=approx_sizeof(sample, total=stats.size),
+        )
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def __contains__(self, key: Hashable) -> bool:
+        with self._lock:
+            return key in self._entries
 
 
 class CacheStatsRegistry:

@@ -7,25 +7,26 @@ Spans already time every phase of a request; this module adds *cost*:
   ``store_fsyncs``, ``summary_states``, ``summary_cache_hits``,
   ``summary_cache_misses``) on the active span — one dict
   update at sites that already open spans, no new wiring;
-* :func:`rollup` folds a finished trace tree into one cost record:
-  counters sum across all spans, CPU sums *without double counting* — a
-  span's thread-CPU clock already includes its same-thread descendants, so
-  only spans that start a new thread of execution (the root, executor-pool
-  spans, worker-process spans — recognized by a ``tid`` differing from the
-  parent's) contribute;
-* :class:`CostTable` aggregates rollups per ``(instance, plan)`` key into
-  a bounded, LRU-evicting table with EWMA latency/CPU and a recent-window
+* :func:`rollup` sums a finished trace tree's domain counters across all
+  its spans;
+* :class:`CostTable` aggregates them per ``(instance, plan)`` key into a
+  bounded, LRU-evicting table with EWMA latency/CPU and a recent-window
   p95, which the server serves at ``GET /debug/top?sort=cpu|p95|count``.
+
+The CPU column has one source: the engine thread's own CPU clock, measured
+around the request's engine job (``engine_cpu_ms``).  Summing span CPU over
+the trace is no substitute — the root span's clock is the event loop's,
+which under concurrency includes work done for other requests.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import OrderedDict, deque
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from operator import itemgetter
+from typing import Any, Dict, List, Optional
 
-from repro.obs.caches import EvictionAges, approx_sizeof, cache_report
+from repro.obs.caches import PlanCache
 from repro.obs.trace import current_span
 
 #: The domain counters fed by the engine/sharding/worker/store span sites.
@@ -48,24 +49,18 @@ def add_cost(key: str, amount: float = 1) -> None:
         span.add_metric(key, amount)
 
 
-def rollup(tree: Dict[str, Any]) -> Dict[str, Any]:
-    """Fold one serialized trace tree into ``{"cpu_ms", "counters"}``."""
+def rollup(tree: Dict[str, Any]) -> Dict[str, float]:
+    """Sum the domain counters of one serialized trace tree."""
     counters: Dict[str, float] = {}
-    cpu_ms = 0.0
 
-    def walk(node: Dict[str, Any], parent_tid: Optional[str]) -> None:
-        nonlocal cpu_ms
-        tid = node.get("tid")
-        node_cpu = node.get("cpu_ms")
-        if node_cpu is not None and (parent_tid is None or tid != parent_tid):
-            cpu_ms += float(node_cpu)
+    def walk(node: Dict[str, Any]) -> None:
         for key, value in (node.get("metrics") or {}).items():
             counters[key] = counters.get(key, 0) + value
         for child in node.get("children", ()):
-            walk(child, tid)
+            walk(child)
 
-    walk(tree, None)
-    return {"cpu_ms": round(cpu_ms, 3), "counters": counters}
+    walk(tree)
+    return counters
 
 
 class _CostEntry:
@@ -77,7 +72,6 @@ class _CostEntry:
         "counters",
         "recent_ms",
         "last_trace_id",
-        "created_at",
     )
 
     def __init__(self, window: int) -> None:
@@ -88,7 +82,6 @@ class _CostEntry:
         self.counters: Dict[str, float] = {}
         self.recent_ms: "deque[float]" = deque(maxlen=window)
         self.last_trace_id: Optional[str] = None
-        self.created_at = time.monotonic()
 
     def p95_ms(self) -> Optional[float]:
         if not self.recent_ms:
@@ -110,25 +103,21 @@ class CostTable:
     def __init__(
         self, capacity: int = 512, alpha: float = 0.2, window: int = 64
     ) -> None:
-        if capacity < 1:
-            raise ValueError("CostTable capacity must be >= 1")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("CostTable alpha must be in (0, 1]")
-        self._capacity = capacity
         self._alpha = alpha
         self._window = max(1, window)
+        # Guards each entry's read-modify-write; the LRU ledger counts an
+        # observation on an existing key as a hit and a new key as a miss,
+        # attributed to the instance half of the key.
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[str, str], _CostEntry]" = OrderedDict()
-        self._evictions = 0
-        self._observations = 0
-        self._hits = 0  # observations that updated an existing key
-        self._misses = 0  # observations that created a key
-        self._by_instance: Dict[str, Dict[str, int]] = {}
-        self._ages = EvictionAges()
+        self._entries: "PlanCache[_CostEntry]" = PlanCache(
+            capacity, attribute=itemgetter(0)
+        )
 
     @property
     def capacity(self) -> int:
-        return self._capacity
+        return self._entries.maxsize
 
     def observe(
         self,
@@ -142,26 +131,9 @@ class CostTable:
         key = (instance, plan)
         with self._lock:
             entry = self._entries.get(key)
-            per_instance = self._by_instance.setdefault(
-                instance, {"hits": 0, "misses": 0, "evictions": 0}
-            )
             if entry is None:
-                self._misses += 1
-                per_instance["misses"] += 1
-                entry = self._entries[key] = _CostEntry(self._window)
-                now = time.monotonic()
-                while len(self._entries) > self._capacity:
-                    (evicted_instance, _), evicted = self._entries.popitem(last=False)
-                    self._evictions += 1
-                    self._ages.observe(now - evicted.created_at)
-                    victim = self._by_instance.setdefault(
-                        evicted_instance, {"hits": 0, "misses": 0, "evictions": 0}
-                    )
-                    victim["evictions"] += 1
-            else:
-                self._hits += 1
-                per_instance["hits"] += 1
-                self._entries.move_to_end(key)
+                entry = _CostEntry(self._window)
+                self._entries.put(key, entry)
             alpha = self._alpha
             if entry.count == 0:
                 entry.ewma_latency_ms = duration_ms
@@ -176,7 +148,6 @@ class CostTable:
                 entry.last_trace_id = trace_id
             for name, value in (counters or {}).items():
                 entry.counters[name] = entry.counters.get(name, 0) + value
-            self._observations += 1
 
     def lookup(self, instance: str, plan: str) -> Optional[Dict[str, float]]:
         """A read-only peek at one key's EWMA columns, or ``None`` when cold.
@@ -186,7 +157,7 @@ class CostTable:
         that traffic alone would have evicted.
         """
         with self._lock:
-            entry = self._entries.get((instance, plan))
+            entry = self._entries.peek((instance, plan))
             if entry is None:
                 return None
             return {
@@ -197,27 +168,8 @@ class CostTable:
             }
 
     def report(self, name: str = "cost_table") -> Dict[str, object]:
-        """This table in the :mod:`repro.obs.caches` common report schema.
-
-        "Hit" means an observation landed on an existing (instance, plan)
-        key; per-instance attribution uses the instance half of the key.
-        """
-        with self._lock:
-            size = len(self._entries)
-            hits, misses, evictions = self._hits, self._misses, self._evictions
-            by_instance = {k: dict(v) for k, v in self._by_instance.items()}
-            sample = list(self._entries.values())[:16]
-        return cache_report(
-            name,
-            size=size,
-            capacity=self._capacity,
-            hits=hits,
-            misses=misses,
-            evictions=evictions,
-            by_instance=by_instance,
-            eviction_ages=self._ages.snapshot(),
-            approx_bytes=approx_sizeof(sample, total=size),
-        )
+        """This table in the :mod:`repro.obs.caches` common report schema."""
+        return self._entries.report(name)
 
     def top(self, sort: str = "cpu", limit: int = 20) -> List[Dict[str, object]]:
         """The ``limit`` most expensive keys by ``cpu``, ``p95`` or ``count``."""
@@ -249,20 +201,21 @@ class CostTable:
     def summary(self) -> Dict[str, object]:
         """The ``/metrics`` digest: table shape plus aggregate totals."""
         with self._lock:
-            total_cpu = sum(e.total_cpu_ms for e in self._entries.values())
+            stats = self._entries.stats()
+            entries = [entry for _, entry in self._entries.items()]
+            total_cpu = sum(entry.total_cpu_ms for entry in entries)
             counters: Dict[str, float] = {}
-            for entry in self._entries.values():
+            for entry in entries:
                 for name, value in entry.counters.items():
                     counters[name] = counters.get(name, 0) + value
-            return {
-                "entries": len(self._entries),
-                "capacity": self._capacity,
-                "evictions": self._evictions,
-                "observations": self._observations,
-                "total_cpu_ms": round(total_cpu, 3),
-                "counters": counters,
-            }
+        return {
+            "entries": stats.size,
+            "capacity": stats.maxsize,
+            "evictions": stats.evictions,
+            "observations": stats.lookups,
+            "total_cpu_ms": round(total_cpu, 3),
+            "counters": counters,
+        }
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)

@@ -1,29 +1,22 @@
 """Hand-rolled Prometheus text exposition (format version 0.0.4).
 
-Two sources feed the page:
-
-* the :class:`~repro.serve.metrics.ServerMetrics` JSON snapshot — its
-  per-endpoint latency histograms are already Prometheus-shaped fixed
-  buckets, so exposition is a mechanical reshape (per-bucket counts become
-  cumulative ``le`` series), and
-* the process-global :class:`~repro.obs.metrics.MetricsRegistry`, whose
-  instruments (worker queue depth, spool hits, fsync latency, shard
-  fallback reasons) render generically.
+:func:`render` writes every instrument of the registries it is given — the
+server's own request metrics, then the process-global
+:data:`~repro.obs.metrics.REGISTRY` — the same way: a ``# HELP`` and
+``# TYPE`` header, then the instrument's samples (a histogram's cumulative
+``_bucket{le=...}`` series, ``_sum`` and ``_count``).  Bucket lines carry
+OpenMetrics exemplars (``... # {trace_id="..."} value ts``) when the bucket
+has one, linking a percentile spike straight to ``GET /traces/{id}``.
 
 No client library is involved: the format is four line shapes (``# HELP``,
 ``# TYPE``, samples, blank) and is produced with plain string formatting.
-Latency bucket lines additionally carry OpenMetrics exemplars
-(``... # {trace_id="..."} value ts``) when the snapshot has one for the
-bucket, linking a percentile spike straight to ``GET /traces/{id}``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-
-LabelSet = Tuple[Tuple[str, str], ...]
+from repro.obs.metrics import LabelSet, MetricsRegistry
 
 
 def _escape_label_value(value: str) -> str:
@@ -57,121 +50,25 @@ def _header(lines: List[str], name: str, kind: str, help_text: str) -> None:
     lines.append(f"# TYPE {name} {kind}")
 
 
-def _histogram_from_snapshot(
-    lines: List[str],
-    name: str,
-    per_key: Dict[str, Dict[str, object]],
-    label_name: str,
-    help_text: str,
-) -> None:
-    """Render ``{key: LatencyHistogram.snapshot()}`` as one histogram family."""
-    _header(lines, name, "histogram", help_text)
-    for key, snap in per_key.items():
-        buckets = snap.get("buckets", {})
-        exemplars = snap.get("exemplars", {})
-        cumulative = 0
-        for bound, count in buckets.items():  # insertion order: sorted bounds, +Inf
-            cumulative += int(count)
-            line = _sample(
-                f"{name}_bucket",
-                ((label_name, key), ("le", bound)),
-                float(cumulative),
-            )
-            exemplar = exemplars.get(bound) if isinstance(exemplars, dict) else None
-            if exemplar:
-                line += (
-                    f' # {{trace_id="{_escape_label_value(str(exemplar["trace_id"]))}"}}'
-                    f' {_format_value(float(exemplar["value_seconds"]))}'
-                    f' {float(exemplar["ts"]):.3f}'
-                )
-            lines.append(line)
-        lines.append(
-            _sample(f"{name}_sum", ((label_name, key),), float(snap.get("sum_seconds", 0.0)))
-        )
-        lines.append(
-            _sample(f"{name}_count", ((label_name, key),), float(snap.get("count", 0)))
-        )
+def render(*registries: MetricsRegistry) -> str:
+    """Render every instrument of ``registries``, in order, as one page.
 
-
-def render(
-    server_snapshot: Dict[str, object],
-    registry: Optional[MetricsRegistry] = None,
-) -> str:
-    """Render the metrics page; ``server_snapshot`` is ``ServerMetrics.snapshot()``."""
+    An instrument without samples renders as its unlabelled zero.
+    """
     lines: List[str] = []
-
-    _header(lines, "repro_uptime_seconds", "gauge", "Seconds since server start.")
-    lines.append(
-        _sample("repro_uptime_seconds", (), float(server_snapshot.get("uptime_seconds", 0.0)))
-    )
-    _header(lines, "repro_requests_in_flight", "gauge", "Requests currently executing.")
-    lines.append(
-        _sample("repro_requests_in_flight", (), float(server_snapshot.get("in_flight", 0)))
-    )
-    _header(
-        lines,
-        "repro_requests_rejected_total",
-        "counter",
-        "Requests rejected by admission control (503).",
-    )
-    lines.append(
-        _sample(
-            "repro_requests_rejected_total",
-            (),
-            float(server_snapshot.get("rejected_total", 0)),
-        )
-    )
-    _header(
-        lines, "repro_request_timeouts_total", "counter", "Requests timed out (504)."
-    )
-    lines.append(
-        _sample(
-            "repro_request_timeouts_total",
-            (),
-            float(server_snapshot.get("timeout_total", 0)),
-        )
-    )
-
-    requests_total = server_snapshot.get("requests_total", {})
-    if isinstance(requests_total, dict):
-        _header(
-            lines,
-            "repro_requests_total",
-            "counter",
-            "Requests served, by endpoint and HTTP status.",
-        )
-        for endpoint, by_status in requests_total.items():
-            for status, count in sorted(by_status.items()):
-                lines.append(
-                    _sample(
-                        "repro_requests_total",
-                        (("endpoint", endpoint), ("status", status)),
-                        float(count),
-                    )
-                )
-
-    latency = server_snapshot.get("latency", {})
-    if isinstance(latency, dict) and latency:
-        _histogram_from_snapshot(
-            lines,
-            "repro_request_latency_seconds",
-            latency,
-            "endpoint",
-            "End-to-end request latency by endpoint.",
-        )
-
-    if registry is not None:
+    for registry in registries:
         for instrument in registry.instruments():
-            if isinstance(instrument, Histogram):
-                _header(lines, instrument.name, "histogram", instrument.help)
-                for sample_name, labels, value in instrument.samples():
-                    lines.append(_sample(sample_name, labels, value))
-            elif isinstance(instrument, (Counter, Gauge)):
-                _header(lines, instrument.name, instrument.kind, instrument.help)
-                samples = instrument.samples()
-                if not samples:
-                    lines.append(_sample(instrument.name, (), 0.0))
-                for sample_name, labels, value in samples:
-                    lines.append(_sample(sample_name, labels, value))
-
+            _header(lines, instrument.name, instrument.kind, instrument.help)
+            exemplars = instrument.exemplars()
+            samples = instrument.samples() or [(instrument.name, (), 0.0)]
+            for name, labels, value in samples:
+                line = _sample(name, labels, value)
+                exemplar = exemplars.get((name, labels))
+                if exemplar is not None:
+                    trace_id, observed, ts = exemplar
+                    line += (
+                        f' # {{trace_id="{_escape_label_value(trace_id)}"}}'
+                        f" {_format_value(observed)} {ts:.3f}"
+                    )
+                lines.append(line)
     return "\n".join(lines) + "\n"

@@ -9,8 +9,8 @@ The serving subsystem turns the cached, batched
   bounded-queue admission control, per-request timeouts);
 * :mod:`repro.serve.protocol` — loss-free JSON encoding of queries, exact
   (Fraction) answers, ⊥ and instances;
-* :mod:`repro.serve.metrics` — request counters, latency histograms and the
-  engine's plan-cache / SQL-memo statistics at ``GET /metrics``;
+* :mod:`repro.serve.metrics` — the server's own metrics registry (request
+  counters, latency histograms) and its JSON view at ``GET /metrics``;
 * :mod:`repro.serve.client` — async client + load generator used by the
   benchmarks and the CI smoke test.
 
@@ -35,7 +35,7 @@ from repro.serve.client import (
     ServeClient,
     ServeClientError,
 )
-from repro.serve.metrics import LatencyHistogram, ServerMetrics
+from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (
     ProtocolError,
     decode_constant,
@@ -71,7 +71,6 @@ __all__ = [
     "ConsistentAnswerServer",
     "DuplicateInstanceError",
     "InstanceRegistry",
-    "LatencyHistogram",
     "LoadGenerator",
     "LoadReport",
     "MutationError",

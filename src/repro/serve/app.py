@@ -894,32 +894,29 @@ class ConsistentAnswerServer:
     def _account_cost(self, root, tree: Dict[str, object], duration_ms: float) -> None:
         """Roll one finished trace into the per-(instance, plan) cost table.
 
-        Only query requests participate: :meth:`_parse_query_request` tags
-        the root span with the instance and plan label, and that tag pair is
-        the table key.  Runs for sampled-out traces too — cost accounting
-        must see 100% of the traffic to rank plans honestly.
+        Only query requests that ran an engine job participate:
+        :meth:`_parse_query_request` tags the root span with the instance
+        and plan label (the table key), and :meth:`_dispatch` measures the
+        engine thread's CPU into the root's ``engine_cpu_ms`` — exact per
+        request, sampled or not.  A request shed by admission (503) never
+        reached an engine thread; observing it would teach the predictor
+        that its plan is cheap.  Runs for sampled-out traces too — cost
+        accounting must see all the traffic to rank plans honestly.
         """
         instance = root.tags.get("instance")
         plan = root.tags.get("plan")
         if not instance or not plan:
             return
-        rolled = cost_rollup(tree)
-        # The dispatch path measures the engine thread's CPU directly into
-        # the root's metrics regardless of sampling, and that number is
-        # per-request exact.  The span-walk CPU is not: the root span's
-        # cpu_ms is the *event loop thread's* CPU for the span's lifetime,
-        # which under concurrency includes loop work done for other
-        # requests — folding it in would inflate cheap plans' EWMA exactly
-        # when the admission gate needs it honest.  Trust engine CPU when
-        # present; fall back to the span walk only for requests that never
-        # reached an engine thread.
-        engine_cpu = float(rolled["counters"].get("engine_cpu_ms", 0.0))
+        counters = cost_rollup(tree)
+        engine_cpu = counters.get("engine_cpu_ms")
+        if engine_cpu is None:
+            return
         self.cost_table.observe(
             str(instance),
             str(plan),
             duration_ms=duration_ms,
-            cpu_ms=engine_cpu if engine_cpu > 0.0 else float(rolled["cpu_ms"]),
-            counters=rolled["counters"],
+            cpu_ms=float(engine_cpu),
+            counters=counters,
             trace_id=root.trace_id,
         )
 
@@ -1467,32 +1464,24 @@ class ConsistentAnswerServer:
         return 200, {"trace": trace}
 
     def _refresh_registry_gauges(self) -> None:
-        """Re-derive pool-sourced gauges at scrape time.
+        """Re-derive scrape-time gauges: uptime and pool queue depth.
 
-        Queue depth and spool (resident-instance) hits are observed inside
-        the worker machinery and surface through ``pool.stats()``; setting
-        them lazily at exposition keeps the request path free of extra
-        bookkeeping.
+        Queue depth is observed inside the worker machinery and surfaces
+        through ``pool.stats()``; setting it lazily at exposition keeps the
+        request path free of extra bookkeeping.
         """
+        self.metrics.uptime_seconds()
         pool = self._pool
         if pool is None or not pool.is_running:
             return
-        stats = pool.stats()
         queue_gauge = REGISTRY.gauge(
             "repro_worker_queue_depth", "Jobs queued or running per worker process."
         )
-        spool_gauge = REGISTRY.gauge(
-            "repro_worker_spool_hits",
-            "Cumulative resident-instance (spool) hits reported by workers.",
-        )
-        total_hits = 0.0
-        for worker in stats.get("per_worker", []):
+        for worker in pool.stats().get("per_worker", []):
             queue_gauge.set(
                 float(worker.get("queue_depth", 0)),
                 worker=worker.get("worker", "?"),
             )
-            total_hits += float(worker.get("resident_hits", 0) or 0)
-        spool_gauge.set(total_hits)
 
     async def _handle_metrics(
         self, payload: object, query: str = ""
@@ -1503,7 +1492,7 @@ class ConsistentAnswerServer:
         if wants_prometheus:
             self._refresh_registry_gauges()
             CACHE_REGISTRY.publish(REGISTRY)
-            page = render_prometheus(self.metrics.snapshot(), REGISTRY)
+            page = render_prometheus(self.metrics.registry, REGISTRY)
             return 200, _TextResponse(page)
         stats = self.engine.cache_stats()
         snapshot = self.metrics.snapshot()

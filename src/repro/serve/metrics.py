@@ -1,28 +1,31 @@
-"""Server metrics: request counters, latency histograms, cache hit rates.
+"""Server metrics: the request instruments of one server and their JSON view.
 
-The serving layer is the repo's first long-running process, so observability
-is part of the subsystem, not an afterthought.  :class:`ServerMetrics`
-aggregates
+:class:`ServerMetrics` records each request once, into a
+:class:`~repro.obs.metrics.MetricsRegistry` that the server owns — one per
+server, because one process (a test, a benchmark) may run several and each
+must count only its own traffic:
 
-* per-endpoint request counts broken down by HTTP status,
-* per-endpoint latency histograms with estimated p50/p95 (fixed
-  Prometheus-style buckets — cheap, bounded memory, mergeable),
-* admission-control rejections and request timeouts,
-* plan-cache and generated-SQL-memo statistics surfaced from the engine.
+* ``repro_requests_total{endpoint,status}`` — requests by endpoint and
+  HTTP status; admission rejections are its ``503`` samples and request
+  timeouts its ``504`` samples;
+* ``repro_request_latency_seconds{endpoint}`` — fixed-bucket latency
+  histograms with a most-recent trace exemplar per bucket;
+* ``repro_requests_in_flight`` and ``repro_uptime_seconds``.
 
-Everything is guarded by one lock; observations are O(#buckets) and the
-snapshot is an immutable dict ready for JSON serialization at ``/metrics``.
+:meth:`ServerMetrics.snapshot` reads those instruments into the JSON of
+``GET /metrics``; ``?format=prometheus`` renders the same registry, so the
+two views cannot disagree.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from bisect import bisect_left
 from typing import Dict, Optional, Tuple
 
-#: Upper bucket bounds in seconds (the last bucket is +Inf).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
+from repro.obs.metrics import MetricsRegistry
+
+#: Request-latency bucket bounds in seconds (the last bucket is +Inf).
+LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001,
     0.0025,
     0.005,
@@ -39,107 +42,32 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class LatencyHistogram:
-    """Fixed-bucket latency histogram with percentile estimation.
-
-    Percentiles interpolate linearly *within* the bucket containing the
-    requested rank (the ``histogram_quantile`` estimator), so a p50 whose
-    bucket spans 1–2.5ms reports where in that range the rank falls rather
-    than pessimistically returning the 2.5ms upper bound.
-    """
-
-    def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
-        self._bounds = tuple(sorted(buckets))
-        self._counts = [0] * (len(self._bounds) + 1)  # +1 for the +Inf bucket
-        self._sum = 0.0
-        self._count = 0
-        # Per-bucket OpenMetrics exemplar: (trace_id, seconds, unix_ts) of
-        # the most recent observation that landed in the bucket.
-        self._exemplars: Dict[int, Tuple[str, float, float]] = {}
-
-    def observe(self, seconds: float, trace_id: Optional[str] = None) -> None:
-        index = bisect_left(self._bounds, seconds)
-        self._counts[index] += 1
-        self._sum += seconds
-        self._count += 1
-        if trace_id:
-            self._exemplars[index] = (trace_id, seconds, time.time())
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def percentile(self, quantile: float) -> Optional[float]:
-        """Estimated latency (seconds) at ``quantile`` in [0, 1], or None."""
-        if self._count == 0:
-            return None
-        rank = quantile * self._count
-        cumulative = 0
-        for index, bucket_count in enumerate(self._counts):
-            below = cumulative
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if index >= len(self._bounds):
-                    return self._max_seen_bound()
-                upper = self._bounds[index]
-                if bucket_count == 0:
-                    return upper
-                lower = self._bounds[index - 1] if index > 0 else 0.0
-                fraction = min(1.0, max(0.0, (rank - below) / bucket_count))
-                return lower + (upper - lower) * fraction
-        return self._max_seen_bound()
-
-    def _max_seen_bound(self) -> float:
-        # Observations beyond the largest bound: report the mean of the
-        # overflow as a best effort rather than pretending it fits a bucket.
-        return self._sum / self._count if self._count else 0.0
-
-    def snapshot(self) -> Dict[str, object]:
-        buckets = {str(bound): count for bound, count in zip(self._bounds, self._counts)}
-        buckets["+Inf"] = self._counts[-1]
-        out: Dict[str, object] = {
-            "count": self._count,
-            "sum_seconds": self._sum,
-            "p50_ms": _to_ms(self.percentile(0.50)),
-            "p95_ms": _to_ms(self.percentile(0.95)),
-            "p99_ms": _to_ms(self.percentile(0.99)),
-            "buckets": buckets,
-        }
-        if self._exemplars:
-            labels = list(buckets)  # same insertion order as the bounds
-            out["exemplars"] = {
-                labels[index]: {
-                    "trace_id": trace_id,
-                    "value_seconds": seconds,
-                    "ts": ts,
-                }
-                for index, (trace_id, seconds, ts) in sorted(self._exemplars.items())
-            }
-        return out
-
-
-def _to_ms(seconds: Optional[float]) -> Optional[float]:
-    return None if seconds is None else round(seconds * 1000.0, 3)
-
-
 class ServerMetrics:
-    """Thread-safe aggregation of everything ``GET /metrics`` reports."""
+    """The request instruments of one server and the ``/metrics`` snapshot."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._started_monotonic = time.monotonic()
         self._started_at = time.time()
-        self._requests: Dict[str, Dict[str, int]] = {}
-        self._latency: Dict[str, LatencyHistogram] = {}
-        self._in_flight = 0
-        self._rejected = 0
-        self._timeouts = 0
+        self.registry = MetricsRegistry()
+        self._uptime = self.registry.gauge(
+            "repro_uptime_seconds", "Seconds since server start."
+        )
+        self._in_flight = self.registry.gauge(
+            "repro_requests_in_flight", "Requests currently executing."
+        )
+        self._requests = self.registry.counter(
+            "repro_requests_total", "Requests served, by endpoint and HTTP status."
+        )
+        self._latency = self.registry.histogram(
+            "repro_request_latency_seconds",
+            "End-to-end request latency by endpoint.",
+            buckets=LATENCY_BUCKETS,
+        )
 
     # -- recording ---------------------------------------------------------------------
 
     def request_started(self) -> None:
-        with self._lock:
-            self._in_flight += 1
+        self._in_flight.inc()
 
     def request_finished(
         self,
@@ -148,58 +76,32 @@ class ServerMetrics:
         seconds: float,
         trace_id: Optional[str] = None,
     ) -> None:
-        with self._lock:
-            self._in_flight = max(0, self._in_flight - 1)
-            by_status = self._requests.setdefault(endpoint, {})
-            key = str(status)
-            by_status[key] = by_status.get(key, 0) + 1
-            histogram = self._latency.get(endpoint)
-            if histogram is None:
-                histogram = self._latency[endpoint] = LatencyHistogram()
-            histogram.observe(seconds, trace_id=trace_id)
-            if status == 503:
-                self._rejected += 1
-            elif status == 504:
-                self._timeouts += 1
+        self._in_flight.inc(-1)
+        self._requests.inc(endpoint=endpoint, status=status)
+        self._latency.observe(seconds, trace_id=trace_id, endpoint=endpoint)
 
     # -- reporting ---------------------------------------------------------------------
 
     def uptime_seconds(self) -> float:
-        return time.monotonic() - self._started_monotonic
+        """Seconds since start, also stored in the uptime gauge."""
+        uptime = time.monotonic() - self._started_monotonic
+        self._uptime.set(uptime)
+        return uptime
 
     def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            requests = {
-                endpoint: dict(by_status)
-                for endpoint, by_status in sorted(self._requests.items())
-            }
-            latency = {
-                endpoint: histogram.snapshot()
-                for endpoint, histogram in sorted(self._latency.items())
-            }
-            return {
-                "started_at": self._started_at,
-                "uptime_seconds": self.uptime_seconds(),
-                "in_flight": self._in_flight,
-                "rejected_total": self._rejected,
-                "timeout_total": self._timeouts,
-                "requests_total": requests,
-                "latency": latency,
-            }
-
-    def total_requests(self) -> int:
-        with self._lock:
-            return sum(
-                count
-                for by_status in self._requests.values()
-                for count in by_status.values()
-            )
-
-    def status_counts(self) -> Dict[str, int]:
-        """Aggregate request counts by status across every endpoint."""
-        with self._lock:
-            totals: Dict[str, int] = {}
-            for by_status in self._requests.values():
-                for status, count in by_status.items():
-                    totals[status] = totals.get(status, 0) + count
-            return totals
+        requests: Dict[str, Dict[str, int]] = {}
+        for _, labels, count in self._requests.samples():
+            label = dict(labels)
+            requests.setdefault(label["endpoint"], {})[label["status"]] = int(count)
+        return {
+            "started_at": self._started_at,
+            "uptime_seconds": self.uptime_seconds(),
+            "in_flight": int(self._in_flight.value()),
+            "rejected_total": sum(by.get("503", 0) for by in requests.values()),
+            "timeout_total": sum(by.get("504", 0) for by in requests.values()),
+            "requests_total": requests,
+            "latency": {
+                endpoint: self._latency.snapshot(endpoint=endpoint)
+                for endpoint in requests
+            },
+        }

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -41,6 +43,20 @@ def repro_seed() -> int:
         raise pytest.UsageError(
             f"{REPRO_TEST_SEED_ENV} must be an integer, got {raw!r}"
         )
+
+
+@pytest.fixture
+def in_fresh_process():
+    """Run a module-level function in a freshly spawned interpreter.
+
+    For tests that compare process-global telemetry exactly: the
+    ``repro_cache_*`` Prometheus families mirror each cache's counters
+    monotonically, so a process whose earlier tests already drove caches
+    cannot compare a new server's ledgers with their mirrors.
+    """
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as executor:
+        yield lambda fn: executor.submit(fn).result(timeout=300)
 
 
 @pytest.fixture

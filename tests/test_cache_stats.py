@@ -1,9 +1,10 @@
-"""Unified cache telemetry: the registry, the report schema, and the wire.
+"""Unified cache telemetry: the ledger, the registry, the report schema, the wire.
 
 Unit tests cover :mod:`repro.obs.caches` in isolation — the monotone
-eviction-age histogram, the sampled recursive sizeof, the common report
-schema, and the provider registry (last-wins names, error isolation, the
-``repro_cache_*`` Prometheus mirror).  The integration tests boot a live
+eviction-age histogram, the ``PlanCache`` ledger (attribution, peek,
+resize), the sampled recursive sizeof, the common report schema, and the
+provider registry (last-wins names, error isolation, the ``repro_cache_*``
+Prometheus mirror).  The integration tests boot a live
 server with several registered tenants, interleave mutations with
 answers, and assert that ``GET /debug/caches`` reports every cache in
 the common schema with per-*instance* (not per-lineage-token)
@@ -16,17 +17,24 @@ import asyncio
 
 import pytest
 
-from repro.engine.sharding import clear_summary_cache
+from repro.engine import AnswerOptions, ConsistentAnswerEngine
+from repro.engine.sharding import (
+    clear_summary_cache,
+    configure_summary_cache,
+    summary_cache_report,
+    summary_cache_stats,
+)
 from repro.obs import render_prometheus
 from repro.obs.caches import (
     CACHE_REGISTRY,
     DEFAULT_AGE_BOUNDS,
     CacheStatsRegistry,
-    EvictionAges,
+    PlanCache,
     approx_sizeof,
     cache_report,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.query.parser import parse_aggregation_query
 from repro.obs.trace import set_tracing
 from repro.datamodel.instance import DatabaseInstance
 from repro.serve.app import ConsistentAnswerServer, ServeConfig
@@ -88,44 +96,119 @@ def serve_scenario(coro_fn, **config_kwargs):
 # -- eviction-age histogram --------------------------------------------------------------
 
 
+def _ages(bounds=DEFAULT_AGE_BOUNDS) -> Histogram:
+    return Histogram("eviction_age_seconds", "", bounds)
+
+
 class TestEvictionAges:
     def test_bounds_must_be_strictly_increasing(self):
         with pytest.raises(ValueError):
-            EvictionAges(())
+            _ages(())
         with pytest.raises(ValueError):
-            EvictionAges((1.0, 1.0, 2.0))
+            _ages((1.0, 1.0, 2.0))
         with pytest.raises(ValueError):
-            EvictionAges((2.0, 1.0))
+            _ages((2.0, 1.0))
 
     def test_observations_land_in_monotone_buckets(self):
-        ages = EvictionAges((1.0, 5.0, 60.0))
+        ages = _ages((1.0, 5.0, 60.0))
         for value in (0.2, 0.9, 3.0, 59.0, 1e6):
             ages.observe(value)
         snap = ages.snapshot()
-        assert snap["bounds"] == [1.0, 5.0, 60.0]
         # one more bucket than bounds: the implicit +Inf overflow bucket
-        assert snap["counts"] == [2, 1, 1, 1]
+        assert list(snap["buckets"].values()) == [2, 1, 1, 1]
         assert snap["count"] == 5
         assert snap["sum_seconds"] == pytest.approx(0.2 + 0.9 + 3.0 + 59.0 + 1e6)
 
     def test_negative_ages_clamp_to_zero(self):
-        ages = EvictionAges((1.0,))
+        ages = _ages((1.0,))
         ages.observe(-5.0)
         snap = ages.snapshot()
-        assert snap["counts"] == [1, 0]
+        assert list(snap["buckets"].values()) == [1, 0]
         assert snap["sum_seconds"] == 0.0
 
     def test_reset_zeroes_everything(self):
-        ages = EvictionAges((1.0,))
-        ages.observe(0.5)
-        ages.reset()
-        snap = ages.snapshot()
-        assert snap["count"] == 0 and snap["counts"] == [0, 0]
+        query = parse_aggregation_query(fig1_stock_schema(), STOCK_SUM)
+        engine = ConsistentAnswerEngine()
+        configure_summary_cache(1)
+        try:
+            # two shards through a one-entry cache: the second evicts the first
+            engine.answer(query, fig1_stock_instance(), options=AnswerOptions(shards=2))
+            assert summary_cache_stats()["evictions"] >= 1
+            clear_summary_cache()
+            report = summary_cache_report()
+        finally:
+            configure_summary_cache(512)
+        assert report["capacity"] == 1  # a reset keeps the configured bound
+        assert report["evictions"] == report["hits"] == report["misses"] == 0
+        assert report["eviction_ages"]["count"] == 0
+        assert report["by_instance"] == {}
 
     def test_default_bounds_are_strictly_increasing(self):
         assert all(
             a < b for a, b in zip(DEFAULT_AGE_BOUNDS, DEFAULT_AGE_BOUNDS[1:])
         )
+
+
+# -- the LRU ledger ----------------------------------------------------------------------
+
+
+class TestPlanCacheLedger:
+    def test_attribution_counts_lookups_and_evictions_per_label(self):
+        cache = PlanCache(maxsize=2, attribute=lambda key: key[0])
+        cache.put(("a", 1), "x")
+        cache.get(("a", 1))
+        cache.get(("b", 1))
+        cache.put(("b", 1), "y")
+        cache.put(("b", 2), "z")  # evicts ("a", 1), the LRU entry
+        report = cache.report("c", label=str.upper)
+        assert report["by_instance"] == {
+            "A": {"hits": 1, "misses": 0, "evictions": 1},
+            "B": {"hits": 0, "misses": 1, "evictions": 0},
+        }
+        assert report["eviction_ages"]["count"] == 1
+        assert len(report["eviction_ages"]["counts"]) == len(DEFAULT_AGE_BOUNDS) + 1
+
+    def test_attribution_rows_are_bounded_oldest_first(self):
+        cache = PlanCache(maxsize=1, attribute=lambda key: key)
+        for i in range(PlanCache.MAX_ATTRIBUTED + 5):
+            cache.get(f"k{i}")
+        by_instance = cache.report("c")["by_instance"]
+        assert len(by_instance) == PlanCache.MAX_ATTRIBUTED
+        assert "k0" not in by_instance
+        assert f"k{PlanCache.MAX_ATTRIBUTED + 4}" in by_instance
+
+    def test_peek_neither_counts_nor_refreshes(self):
+        cache = PlanCache(maxsize=2)
+        cache.put("old", 1)
+        cache.put("new", 2)
+        assert cache.peek("old") == 1
+        assert cache.peek("missing") is None
+        cache.put("newest", 3)  # "old" is still the LRU entry
+        assert "old" not in cache
+        stats = cache.stats()
+        assert stats.hits == stats.misses == 0
+
+    def test_items_snapshot_is_lru_first(self):
+        cache = PlanCache(maxsize=3)
+        for key in ("a", "b", "c"):
+            cache.put(key, key.upper())
+        cache.get("a")
+        assert cache.items() == [("b", "B"), ("c", "C"), ("a", "A")]
+
+    def test_resize_evicts_lru_first_and_zero_caches_nothing(self):
+        cache = PlanCache(maxsize=3)
+        for key in ("a", "b", "c"):
+            cache.put(key, key)
+        cache.get("a")
+        cache.resize(1)
+        assert cache.items() == [("a", "a")]
+        assert cache.stats().evictions == 2
+        cache.resize(0)
+        cache.put("d", "d")
+        assert len(cache) == 0 and cache.get("d") is None
+        assert cache.stats().maxsize == 0
+        with pytest.raises(ValueError):
+            PlanCache(maxsize=0)  # only an explicit resize may disable a cache
 
 
 # -- approximate sizing ------------------------------------------------------------------
@@ -233,8 +316,7 @@ class TestCacheStatsRegistry:
 
     def test_publish_mirrors_reports_into_prometheus_families(self):
         registry = CacheStatsRegistry()
-        ages = EvictionAges((1.0,))
-        ages.observe(0.5)
+        ages = {"bounds": [1.0], "counts": [1, 0], "count": 1, "sum_seconds": 0.5}
         registry.register(
             "c",
             lambda: cache_report(
@@ -245,13 +327,13 @@ class TestCacheStatsRegistry:
                 misses=3,
                 evictions=1,
                 by_instance={"tenant_a": {"hits": 7, "evictions": 1}},
-                eviction_ages=ages.snapshot(),
+                eviction_ages=ages,
                 approx_bytes=999,
             ),
         )
         metrics = MetricsRegistry()
         registry.publish(metrics)
-        page = render_prometheus({}, metrics)
+        page = render_prometheus(metrics)
         assert 'repro_cache_size{cache="c"} 2' in page
         assert 'repro_cache_capacity{cache="c"} 4' in page
         assert 'repro_cache_approx_bytes{cache="c"} 999' in page
@@ -279,7 +361,7 @@ class TestCacheStatsRegistry:
         # A cache reset (clear) must not drag the cumulative counter down.
         counters["hits"] = 3
         registry.publish(metrics)
-        page = render_prometheus({}, metrics)
+        page = render_prometheus(metrics)
         assert 'repro_cache_hits_total{cache="c"} 10' in page
 
 
@@ -295,6 +377,40 @@ def _assert_common_schema(report):
     if ages["counts"]:
         assert len(ages["counts"]) == len(bounds) + 1
         assert sum(ages["counts"]) == ages["count"]
+
+
+async def _prometheus_page(server) -> str:
+    host, port = server.address
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(
+        b"GET /metrics?format=prometheus HTTP/1.1\r\n"
+        b"Host: x\r\nConnection: close\r\n\r\n"
+    )
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return raw.decode("utf-8", "replace")
+
+
+def _spool_scrapes_after_a_delta_write():
+    """Answer, write, answer again through a two-process pool, then scrape.
+
+    Module-level so ``in_fresh_process`` can run it in a spawned interpreter.
+    """
+
+    async def scenario(server, client):
+        await client.answer("stock", STOCK_SUM)
+        await client.mutate_instance(
+            "stock", [("add", "Stock", ("Tesla W", "Chicago", 5))]
+        )
+        await client.answer("stock", STOCK_SUM)  # ships the write as a delta
+        page = await _prometheus_page(server)
+        status, body = await client.request("GET", "/debug/caches")
+        assert status == 200
+        return page, body["caches"]
+
+    return serve_scenario(scenario, worker_processes=2)
 
 
 class TestServerCacheTelemetry:
@@ -383,20 +499,19 @@ class TestServerCacheTelemetry:
             for row in spool["by_instance"].values()
         )
 
+    def test_worker_spool_hits_have_one_source(self, in_fresh_process):
+        page, reports = in_fresh_process(_spool_scrapes_after_a_delta_write)
+        spool = {r["name"]: r for r in reports}["worker_spool"]
+        assert spool["hits"] >= 1
+        # the deleted gauge left out delta fast-forwards and disagreed
+        assert "repro_worker_spool_hits" not in page
+        line = f'repro_cache_hits_total{{cache="worker_spool"}} {spool["hits"]}\n'
+        assert line in page
+
     def test_prometheus_page_carries_cache_families(self):
         async def scenario(server, client):
             await client.answer("stock", STOCK_SUM)
-            host, port = server.address
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                b"GET /metrics?format=prometheus HTTP/1.1\r\n"
-                b"Host: x\r\nConnection: close\r\n\r\n"
-            )
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-            return raw.decode("utf-8", "replace")
+            return await _prometheus_page(server)
 
         clear_summary_cache()
         page = serve_scenario(scenario)

@@ -30,7 +30,6 @@ from repro.engine import (
     summary_cache_stats,
 )
 from repro.engine.sharding import STRATEGY_HASHED
-from repro.obs.metrics import REGISTRY
 from repro.serve.registry import InstanceRegistry
 from repro.workloads.generators import (
     InconsistentDatabaseGenerator,
@@ -267,40 +266,38 @@ class TestOneShardRecompute:
         query = stock_total_query("MIN")
         shards = 8
         options = AnswerOptions(shards=shards, **INCREMENTAL)
-        hits = REGISTRY.counter(
-            "repro_summary_cache_hits_total",
-            "Shard summaries served from the cache",
-        )
-        misses = REGISTRY.counter(
-            "repro_summary_cache_misses_total",
-            "Shard summaries recomputed on a miss",
-        )
+
+        def hits() -> int:
+            return summary_cache_stats()["hits"]
+
+        def misses() -> int:
+            return summary_cache_stats()["misses"]
 
         clear_summary_cache()
-        hits0, misses0 = hits.value(), misses.value()
+        hits0, misses0 = hits(), misses()
         cold = engine.answer(query, instance, {}, options)
-        assert misses.value() - misses0 == shards
-        assert hits.value() - hits0 == 0
+        assert misses() - misses0 == shards
+        assert hits() - hits0 == 0
 
         ops = _point_ops(instance, 11)[:1]  # a single-block point write
         mutated = _apply(instance, ops)
-        hits1, misses1 = hits.value(), misses.value()
+        hits1, misses1 = hits(), misses()
         warm = engine.answer(query, mutated, {}, options)
         # Exactly one shard summary recomputed; the other N-1 came from the
         # cache.  This is the tentpole's O(one shard) re-answer.  (Parity
         # against a cold rebuild is pinned at small scale above — the
         # unsharded baseline takes minutes at 10^4 facts.)
-        assert misses.value() - misses1 == 1
-        assert hits.value() - hits1 == shards - 1
+        assert misses() - misses1 == 1
+        assert hits() - hits1 == shards - 1
 
         stats = summary_cache_stats()
         assert stats["entries"] >= shards + 1
         # A fully-cached re-answer (all N shards hit) reproduces the warm
         # answer bit-for-bit.
-        hits2, misses2 = hits.value(), misses.value()
+        hits2, misses2 = hits(), misses()
         assert engine.answer(query, mutated, {}, options) == warm
-        assert hits.value() - hits2 == shards
-        assert misses.value() - misses2 == 0
+        assert hits() - hits2 == shards
+        assert misses() - misses2 == 0
         assert cold == engine.answer(query, instance, {}, options)
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])

@@ -14,6 +14,8 @@ import json
 import logging
 import os
 import signal
+import sys
+import threading
 import time
 import warnings
 
@@ -37,7 +39,7 @@ from repro.obs.log import (
     parse_log_level,
     set_log_level,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.sample import (
     DroppedTraceLog,
     TraceSampler,
@@ -57,7 +59,7 @@ from repro.obs.trace import (
 )
 from repro.serve.app import AdmissionGate, ConsistentAnswerServer, ServeConfig
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.metrics import LatencyHistogram
+from repro.serve.metrics import LATENCY_BUCKETS, ServerMetrics
 from repro.workloads.queries import stock_sum_query
 from repro.workloads.scenarios import fig1_stock_instance
 
@@ -180,9 +182,13 @@ class TestSpans:
 # -- latency histogram percentiles -------------------------------------------------------
 
 
+def _latency_histogram(buckets=LATENCY_BUCKETS) -> Histogram:
+    return Histogram("repro_request_latency_seconds", "", buckets)
+
+
 class TestHistogramPercentiles:
     def test_empty_histogram_has_no_percentiles(self):
-        histogram = LatencyHistogram()
+        histogram = _latency_histogram()
         assert histogram.percentile(0.5) is None
         assert histogram.percentile(0.99) is None
         snapshot = histogram.snapshot()
@@ -192,19 +198,41 @@ class TestHistogramPercentiles:
         assert snapshot["p99_ms"] is None
 
     def test_overflow_observations_fall_back_to_the_mean(self):
-        histogram = LatencyHistogram()
+        histogram = _latency_histogram()
         histogram.observe(20.0)  # beyond the 10s top bound: +Inf bucket
         histogram.observe(40.0)
         assert histogram.percentile(0.5) == pytest.approx(30.0)
         assert histogram.percentile(0.99) == pytest.approx(30.0)
 
+    def test_overflow_rank_reports_the_overflow_mean_not_the_overall_mean(self):
+        # 3% of requests hit a 30 s timeout: p99 lands in the +Inf bucket
+        # and must report those requests, not the 0.9 s mean of everything.
+        histogram = _latency_histogram()
+        for _ in range(97):
+            histogram.observe(0.002)
+        for _ in range(3):
+            histogram.observe(30.0)
+        assert histogram.percentile(0.99) == pytest.approx(30.0)
+        assert histogram.snapshot()["p99_ms"] == pytest.approx(30000.0)
+        assert histogram.percentile(0.99) >= histogram.bounds[-1]
+
     def test_percentile_interpolates_within_the_bucket(self):
-        histogram = LatencyHistogram(buckets=(0.1, 0.2))
+        histogram = _latency_histogram(buckets=(0.1, 0.2))
         for _ in range(10):
             histogram.observe(0.15)  # all land in the (0.1, 0.2] bucket
         # rank 5 of 10 → halfway through the containing bucket
         assert histogram.percentile(0.5) == pytest.approx(0.15)
         assert histogram.percentile(1.0) == pytest.approx(0.2)
+
+    def test_label_sets_are_independent_series(self):
+        histogram = _latency_histogram(buckets=(0.1, 1.0))
+        histogram.observe(0.05, endpoint="a")
+        histogram.observe(0.5, endpoint="b")
+        histogram.observe(0.5, endpoint="b")
+        assert histogram.percentile(1.0, endpoint="a") == pytest.approx(0.1)
+        assert histogram.percentile(1.0, endpoint="b") == pytest.approx(1.0)
+        assert histogram.percentile(0.5) is None  # the unlabelled series
+        assert histogram.snapshot(endpoint="b")["count"] == 2
 
 
 # -- registry instruments ----------------------------------------------------------------
@@ -411,21 +439,11 @@ class TestPrometheusRender:
         histogram.observe(0.05)
         histogram.observe(0.5)
         registry.counter("repro_test_total", "help").inc(reason="a b\"c\\d\n")
-        snapshot = {
-            "uptime_seconds": 1.5,
-            "in_flight": 1,
-            "rejected_total": 0,
-            "timeout_total": 0,
-            "requests_total": {"POST /answer": {"200": 3}},
-            "latency": {
-                "POST /answer": {
-                    "count": 3,
-                    "sum_seconds": 0.03,
-                    "buckets": {"0.001": 1, "0.01": 2, "+Inf": 0},
-                }
-            },
-        }
-        families = parse_prometheus(render_prometheus(snapshot, registry))
+        server = ServerMetrics()
+        for seconds in (0.0005, 0.005, 0.005):
+            server.request_started()
+            server.request_finished("POST /answer", 200, seconds)
+        families = parse_prometheus(render_prometheus(server.registry, registry))
         latency = families["repro_request_latency_seconds"]
         assert latency["type"] == "histogram"
         endpoint = ("endpoint", "POST /answer")
@@ -447,6 +465,33 @@ class TestPrometheusRender:
         assert families["repro_requests_total"]["samples"][
             ("repro_requests_total", (("endpoint", "POST /answer"), ("status", "200")))
         ] == 3
+        assert families["repro_requests_in_flight"]["samples"][
+            ("repro_requests_in_flight", ())
+        ] == 0
+
+    def test_deleted_duplicate_families_are_not_rendered(self):
+        server = ServerMetrics()
+        for status in (503, 504):
+            server.request_started()
+            server.request_finished("POST /answer", status, 0.001)
+        page = render_prometheus(server.registry)
+        families = parse_prometheus(page)
+        assert "repro_requests_rejected_total" not in families
+        assert "repro_request_timeouts_total" not in families
+        requests = families["repro_requests_total"]["samples"]
+        for status in ("503", "504"):
+            key = (("endpoint", "POST /answer"), ("status", status))
+            assert requests[("repro_requests_total", key)] == 1
+        snapshot = server.snapshot()
+        assert snapshot["rejected_total"] == 1 and snapshot["timeout_total"] == 1
+
+    def test_each_server_counts_only_its_own_requests(self):
+        first, second = ServerMetrics(), ServerMetrics()
+        first.request_started()
+        first.request_finished("POST /answer", 503, 0.001)
+        assert first.snapshot()["rejected_total"] == 1
+        assert second.snapshot()["rejected_total"] == 0
+        assert second.snapshot()["requests_total"] == {}
 
 
 # -- server integration ------------------------------------------------------------------
@@ -1015,20 +1060,24 @@ class TestExporter:
 
 
 class TestCostRollup:
-    def test_same_thread_descendants_do_not_double_count(self):
+    def test_counters_sum_across_every_span_and_cpu_is_not_rolled_up(self):
         tree = {
             "cpu_ms": 10.0,
             "tid": "1:1",
-            "metrics": {"facts_scanned": 5},
+            "metrics": {"facts_scanned": 5, "engine_cpu_ms": 1.5},
             "children": [
                 {"cpu_ms": 8.0, "tid": "1:1", "metrics": {"facts_scanned": 2}},
-                {"cpu_ms": 3.0, "tid": "1:2"},  # executor thread: counts
-                {"cpu_ms": 4.0, "tid": "2:1"},  # worker process: counts
+                {"cpu_ms": 3.0, "tid": "1:2", "metrics": {"blocks_touched": 4}},
+                {"cpu_ms": 4.0, "tid": "2:1"},
             ],
         }
-        rolled = rollup(tree)
-        assert rolled["cpu_ms"] == pytest.approx(17.0)
-        assert rolled["counters"] == {"facts_scanned": 7}
+        # Span CPU is not a cost measure: the only CPU figure is the
+        # executor-measured engine_cpu_ms counter.
+        assert rollup(tree) == {
+            "facts_scanned": 7,
+            "engine_cpu_ms": 1.5,
+            "blocks_touched": 4,
+        }
 
     def test_live_spans_carry_cpu_and_tid(self):
         with start_trace("root") as root:
@@ -1041,9 +1090,7 @@ class TestCostRollup:
         (child_dict,) = tree["children"]
         assert child_dict["tid"] == tree["tid"]  # same thread
         assert child_dict["metrics"] == {"facts_scanned": 3}
-        rolled = rollup(tree)
-        # same-thread child excluded: total equals the root's own clock
-        assert rolled["cpu_ms"] == pytest.approx(tree["cpu_ms"], abs=0.001)
+        assert rollup(tree) == {"facts_scanned": 3}
 
     def test_add_cost_is_a_noop_outside_a_trace(self):
         add_cost("facts_scanned", 5)  # must not raise
@@ -1088,6 +1135,30 @@ class TestCostTable:
         plans = {row["plan"] for row in table.top(limit=10)}
         assert plans == {"a", "c"}
         assert table.summary()["evictions"] == 1
+
+    def test_concurrent_observations_are_not_lost(self):
+        table = CostTable(capacity=4)
+        threads, per_thread = 8, 1000
+
+        def observe_many():
+            for n in range(per_thread):
+                table.observe("i", f"p{n % 3}", 1.0, 1.0)
+
+        workers = [threading.Thread(target=observe_many) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        total = threads * per_thread
+        assert sum(row["count"] for row in table.top(limit=10)) == total
+        assert table.summary()["observations"] == total
+        assert table.report()["misses"] == 3  # one per key, never a duplicate
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -1177,7 +1248,7 @@ class TestExemplars:
         serve_scenario(scenario)
 
     def test_histogram_exemplar_is_most_recent_per_bucket(self):
-        histogram = LatencyHistogram(buckets=(0.1, 1.0))
+        histogram = _latency_histogram(buckets=(0.1, 1.0))
         histogram.observe(0.05, trace_id="first")
         histogram.observe(0.06, trace_id="second")
         histogram.observe(5.0, trace_id="overflow")
@@ -1186,6 +1257,112 @@ class TestExemplars:
         assert snap["exemplars"]["0.1"]["trace_id"] == "second"
         assert snap["exemplars"]["+Inf"]["trace_id"] == "overflow"
         assert "1.0" not in snap["exemplars"]
+
+
+# -- one source per number ---------------------------------------------------------------
+
+GROUP_QUERY = "(x, SUM(y)) <- Dealers(x, t), Stock(p, t, y)"
+
+
+def _mixed_load_scrapes():
+    """Drive a mixed load on a fresh server, then scrape both views.
+
+    Module-level so :func:`in_fresh_process` can run it in a spawned
+    interpreter.  Every request is head-sampled (``trace_sample=1``).
+    """
+
+    async def scenario(server, client):
+        await client.register_instance("sharded", fig1_stock_instance(), shards=2)
+        for _ in range(3):
+            await client.answer("stock", STOCK_SUM)
+        for _ in range(2):
+            await client.answer_group_by("sharded", GROUP_QUERY)
+        body = {"instance": "no_such_instance", "query": STOCK_SUM}
+        status, _ = await client.request("POST", "/answer", body)
+        assert status == 404
+        filled = 0
+        while server.gate.try_acquire():
+            filled += 1
+        try:
+            body = {"instance": "stock", "query": STOCK_SUM}
+            status, _ = await client.request("POST", "/answer", body)
+            assert status == 503
+        finally:
+            for _ in range(filled):
+                server.gate.release()
+        metrics = await client.metrics()
+        host, port = server.address
+        status, _, page = await _raw_request(
+            host, port, "GET", "/metrics?format=prometheus"
+        )
+        assert status == 200
+        return metrics, page.decode("utf-8")
+
+    return serve_scenario(scenario, trace_sample=1)
+
+
+class TestOneSourcePerNumber:
+    def test_json_and_prometheus_views_agree(self, in_fresh_process):
+        metrics, page = in_fresh_process(_mixed_load_scrapes)
+        families = parse_prometheus(page)
+
+        def by_labels(family):
+            samples = families[family]["samples"].items()
+            return {labels: value for (_, labels), value in samples}
+
+        # The JSON scrape's own row lands between the two scrapes.
+        json_requests = {
+            (("endpoint", endpoint), ("status", status)): count
+            for endpoint, by_status in metrics["requests_total"].items()
+            for status, count in by_status.items()
+            if endpoint != "GET /metrics"
+        }
+        prom_requests = {
+            labels: count
+            for labels, count in by_labels("repro_requests_total").items()
+            if labels[0] != ("endpoint", "GET /metrics")
+        }
+        assert json_requests == prom_requests
+        assert {"404", "503"} <= {status for _, (_, status) in json_requests}
+        assert metrics["rejected_total"] == 1
+        assert metrics["rejected_total"] == sum(
+            count
+            for (_, status), count in prom_requests.items()
+            if status == ("status", "503")
+        )
+
+        latency = families["repro_request_latency_seconds"]["samples"]
+        endpoints = set(metrics["latency"]) - {"GET /metrics"}
+        assert {"POST /answer", "POST /answer_group_by"} <= endpoints
+        for endpoint in endpoints:
+            snap = metrics["latency"][endpoint]
+            key = (("endpoint", endpoint),)
+            observed = latency[("repro_request_latency_seconds_count", key)]
+            assert observed == snap["count"]
+            seconds = latency[("repro_request_latency_seconds_sum", key)]
+            assert seconds == snap["sum_seconds"]
+            cumulative = 0
+            for le, count in snap["buckets"].items():
+                cumulative += count
+                bucket = ("repro_request_latency_seconds_bucket", key + (("le", le),))
+                assert latency[bucket] == cumulative
+
+        caches = {
+            "plan_cache": metrics["plan_cache"],
+            "summary_cache": metrics["sharding"]["summary_cache"],
+        }
+        assert caches["summary_cache"]["hits"] > 0  # the repeated sharded GROUP BY
+        for cache, stats in caches.items():
+            for counter in ("hits", "misses", "evictions"):
+                mirrored = by_labels(f"repro_cache_{counter}_total")
+                assert mirrored[(("cache", cache),)] == stats[counter], counter
+
+        decisions = by_labels("repro_trace_retention_total")
+        for decision, count in metrics["sampling"]["decisions"].items():
+            # the JSON scrape's own trace closed (head-sampled) after its
+            # snapshot was taken
+            expected = count + (1 if decision == "head" else 0)
+            assert decisions.get((("decision", decision),), 0) == expected, decision
 
 
 # -- log levels --------------------------------------------------------------------------
@@ -1512,6 +1689,30 @@ class TestCostShedIntegration:
             return None
 
         serve_scenario(scenario)  # no max_queue_cost_ms: depth-only
+
+    def test_shed_requests_do_not_teach_the_cost_table(self):
+        async def scenario(server, client):
+            for _ in range(3):
+                await client.answer("stock", STOCK_SUM)
+            learned = server.cost_table.lookup("stock", STOCK_SUM)
+            filled = 0
+            while server.gate.try_acquire():
+                filled += 1
+            try:
+                body = {"instance": "stock", "query": STOCK_SUM}
+                for _ in range(10):
+                    status, _ = await client.request("POST", "/answer", body)
+                    assert status == 503
+            finally:
+                for _ in range(filled):
+                    server.gate.release()
+            # A shed request never ran on an engine thread: it has no CPU
+            # measure and must leave the plan's EWMA and count alone.
+            assert server.cost_table.lookup("stock", STOCK_SUM) == learned
+            return learned
+
+        learned = serve_scenario(scenario)
+        assert learned["count"] == 3
 
 
 class TestDebugTopValidation:

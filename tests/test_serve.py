@@ -10,13 +10,13 @@ from repro.core.range_answers import RangeAnswer
 from repro.datamodel.instance import DatabaseInstance
 from repro.datamodel.signature import RelationSignature, Schema
 from repro.engine import ConsistentAnswerEngine, schema_fingerprint
+from repro.obs.metrics import Histogram
 from repro.query.parser import parse_aggregation_query
 from repro.serve import (
     AdmissionGate,
     ConsistentAnswerServer,
     DuplicateInstanceError,
     InstanceRegistry,
-    LatencyHistogram,
     ProtocolError,
     ServeClient,
     ServeClientError,
@@ -32,6 +32,7 @@ from repro.serve import (
     schema_from_payload,
     schema_to_payload,
 )
+from repro.serve.metrics import LATENCY_BUCKETS
 from repro.workloads.scenarios import (
     fig1_stock_instance,
     fig1_stock_schema,
@@ -153,9 +154,13 @@ class TestInstanceRegistry:
 # -- metrics primitives ------------------------------------------------------------------
 
 
+def _latency_histogram() -> Histogram:
+    return Histogram("repro_request_latency_seconds", "", LATENCY_BUCKETS)
+
+
 class TestLatencyHistogram:
     def test_percentiles_from_buckets(self):
-        histogram = LatencyHistogram()
+        histogram = _latency_histogram()
         for _ in range(99):
             histogram.observe(0.002)
         histogram.observe(4.0)
@@ -170,7 +175,7 @@ class TestLatencyHistogram:
         assert snapshot["p50_ms"] == pytest.approx(expected_p50 * 1000.0, abs=1e-3)
 
     def test_empty_histogram(self):
-        assert LatencyHistogram().percentile(0.5) is None
+        assert _latency_histogram().percentile(0.5) is None
 
 
 class TestAdmissionGate:
