@@ -10,15 +10,20 @@ otherwise each call fans out over a fresh fork pool whose workers rebuild an
 engine from the parent's configuration, so plans are compiled at most once
 per chunk even in that path.
 
-The pool prefers the ``fork`` start method (cheap on Linux, inherits the
-imported library); when process pools are unavailable (restricted
-environments) execution degrades to the serial path rather than failing.
+Nothing here is configured; the batch works its parallelism out:
 
-Parallelism is tunable: the engine passes its ``batch_workers`` /
-``min_parallel_items`` configuration down, and both fall back to the
-``REPRO_BATCH_WORKERS`` / ``REPRO_MIN_PARALLEL_ITEMS`` environment
-variables so deployments (e.g. the serving layer) can size pools without
-code changes.
+* the width is the caller's ``max_workers``, else the running pool's size,
+  else ``min(cpu count, 8)``;
+* a batch smaller than 4 items runs serially — 2 with a running pool
+  attached, whose workers already exist;
+* each chunk holds ``ceil(items / width)`` items.
+
+The fork pool prefers the ``fork`` start method (cheap on Linux, inherits
+the imported library); when process pools are unavailable (restricted
+environments) execution degrades to the serial path rather than failing.
+A running pool that fails mid-batch degrades to the serial path too, never
+to the fork pool: pools live in threaded processes (the server), where a
+fork can inherit a lock another thread holds.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.datamodel.instance import DatabaseInstance
 from repro.engine.cancellation import (
@@ -40,39 +45,10 @@ from repro.query.aggregation import AggregationQuery
 
 # Batches smaller than this never pay process start-up costs.
 _MIN_PARALLEL_ITEMS = 4
-
-#: Environment overrides for deployments that cannot pass constructor kwargs.
-ENV_BATCH_WORKERS = "REPRO_BATCH_WORKERS"
-ENV_MIN_PARALLEL_ITEMS = "REPRO_MIN_PARALLEL_ITEMS"
-
-
-#: Environment names a malformed-value warning was already issued for.  A
-#: deployment typo (``REPRO_BATCH_WORKERS=eight``) should be visible, but
-#: exactly once — ``_env_int`` runs on every batch dispatch.
-_WARNED_ENV_NAMES: Set[str] = set()
-
-
-def _reset_env_warnings() -> None:
-    """Re-arm the warn-once guard (test hook)."""
-    _WARNED_ENV_NAMES.clear()
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        if name not in _WARNED_ENV_NAMES:
-            _WARNED_ENV_NAMES.add(name)
-            warnings.warn(
-                f"ignoring malformed {name}={raw!r} (expected an integer); "
-                f"using the built-in default",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return None
+# A running pool's workers are already warm: two items are worth sending.
+_MIN_POOLED_ITEMS = 2
+# Ceiling on the cpu-derived width.
+_MAX_DEFAULT_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -140,80 +116,55 @@ def _run_chunk(
 
 
 def _chunked(
-    items: Sequence[Tuple[AggregationQuery, DatabaseInstance]], chunk_size: int
+    items: Sequence[Tuple[AggregationQuery, DatabaseInstance]], size: int
 ) -> List[List[Tuple[int, AggregationQuery, DatabaseInstance]]]:
     indexed = [(i, query, instance) for i, (query, instance) in enumerate(items)]
-    return [indexed[i : i + chunk_size] for i in range(0, len(indexed), chunk_size)]
+    return [indexed[i : i + size] for i in range(0, len(indexed), size)]
 
 
-def default_worker_count() -> int:
-    """Worker processes used when the caller does not pin ``max_workers``.
+def _running_pool(engine):
+    pool = engine.worker_pool
+    return pool if pool is not None and pool.is_running else None
 
-    ``REPRO_BATCH_WORKERS`` overrides the cpu-derived default.
+
+def batch_width(engine, max_workers: Optional[int] = None) -> int:
+    """Worker processes a batch on ``engine`` fans out over.
+
+    ``max_workers`` when given, else the size of the engine's running
+    worker pool (one chunk per persistent worker), else ``min(cpu, 8)``.
     """
-    env = _env_int(ENV_BATCH_WORKERS)
-    if env is not None:
-        return max(1, env)
-    return max(1, min(os.cpu_count() or 1, 8))
-
-
-def default_min_parallel_items() -> int:
-    """Batch size below which execution is always serial.
-
-    ``REPRO_MIN_PARALLEL_ITEMS`` overrides the built-in threshold.
-    """
-    env = _env_int(ENV_MIN_PARALLEL_ITEMS)
-    if env is not None:
-        return max(1, env)
-    return _MIN_PARALLEL_ITEMS
+    if max_workers is not None:
+        return max(1, max_workers)
+    pool = _running_pool(engine)
+    if pool is not None:
+        return pool.size
+    return max(1, min(os.cpu_count() or 1, _MAX_DEFAULT_WIDTH))
 
 
 def execute_batch(
     engine,
     items: Sequence[Tuple[AggregationQuery, DatabaseInstance]],
     max_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    min_parallel_items: Optional[int] = None,
 ) -> List[BatchResult]:
     """Answer every (query, instance) pair, returning results in order.
 
     ``max_workers=1`` forces serial execution on the calling engine (and is
-    the only mode that warms *its* plan cache); higher values fan chunks out
-    across processes.  ``chunk_size`` defaults to an even split over the
-    workers, so repeated queries inside one chunk share the worker's plans.
-    ``min_parallel_items`` is the batch size below which process start-up is
-    never paid (engine configuration / environment override by default).
+    the only mode that warms *its* plan cache); otherwise the batch splits
+    evenly over :func:`batch_width` processes once it reaches the serial
+    threshold, so repeated queries inside one chunk share the worker's plans.
     """
     items = list(items)
-    if not items:
-        return []
-    pool = getattr(engine, "worker_pool", None)
-    pool_running = pool is not None and pool.is_running
-    if max_workers is not None:
-        workers = max(1, max_workers)
-    elif pool_running:
-        # A long-lived pool sizes the fan-out: one chunk per persistent worker.
-        workers = pool.size
-    else:
-        workers = default_worker_count()
-    workers = min(workers, len(items))
-    threshold = (
-        default_min_parallel_items()
-        if min_parallel_items is None
-        else max(1, min_parallel_items)
-    )
-    if workers == 1 or len(items) < threshold:
-        return [
-            _answer_one(engine, query, instance, index)
-            for index, (query, instance) in enumerate(items)
-        ]
-    if chunk_size is None:
-        chunk_size = -(-len(items) // workers)  # ceil division
-    chunks = _chunked(items, max(1, chunk_size))
-    results = _pool_chunks(engine, chunks)
-    if results is None:
-        results = _parallel_chunks(engine.config(), chunks, workers)
-    if results is None:  # pool unavailable: degrade gracefully
+    pool = _running_pool(engine)
+    width = min(batch_width(engine, max_workers), len(items))
+    threshold = _MIN_POOLED_ITEMS if pool is not None else _MIN_PARALLEL_ITEMS
+    results = None
+    if width > 1 and len(items) >= threshold:
+        chunks = _chunked(items, -(-len(items) // width))  # ceil division
+        if pool is not None:
+            results = _pool_chunks(pool, chunks)
+        else:
+            results = _parallel_chunks(engine.config(), chunks, width)
+    if results is None:  # serial, or no process path available
         return [
             _answer_one(engine, query, instance, index)
             for index, (query, instance) in enumerate(items)
@@ -221,17 +172,13 @@ def execute_batch(
     return sorted(results, key=lambda r: r.index)
 
 
-def _pool_chunks(engine, chunks) -> Optional[List[BatchResult]]:
-    """Run the chunks on the engine's attached worker pool, if one is running.
+def _pool_chunks(pool, chunks) -> Optional[List[BatchResult]]:
+    """Run the chunks on a running worker pool.
 
-    Returns ``None`` when no pool is attached (callers fall through to the
-    per-call fork pool) or when the pool fails mid-batch after exhausting
-    its crash retries (callers degrade to the fork/serial path rather than
-    losing the batch).
+    Returns ``None`` when the pool fails mid-batch after exhausting its
+    crash retries: the caller then runs the batch serially rather than
+    losing it, and never forks (see the module docstring).
     """
-    pool = getattr(engine, "worker_pool", None)
-    if pool is None or not pool.is_running:
-        return None
     from repro.engine.workers import WorkerPoolError
 
     try:
@@ -243,8 +190,8 @@ def _pool_chunks(engine, chunks) -> Optional[List[BatchResult]]:
             "pool_degraded", error=str(exc), chunks=len(chunks)
         )
         warnings.warn(
-            f"worker pool failed mid-batch ({exc}); degrading to the "
-            f"per-call executor",
+            f"worker pool failed mid-batch ({exc}); degrading to serial "
+            f"execution",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -263,8 +210,8 @@ def run_in_fork_pool(worker, payloads: Sequence[tuple], workers: int) -> Optiona
     summary cache in the calling process.
 
     Forking a process that already runs threads can inherit held locks into
-    the child; callers embedded in threaded servers keep ``workers`` at 1
-    (the serving layer's default) unless the deployment accepts that risk.
+    the child, so the server never comes here: it runs thread-mode batches
+    with ``max_workers=1`` and pooled ones on its worker pool.
     """
     import concurrent.futures
     import multiprocessing

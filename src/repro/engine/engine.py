@@ -60,9 +60,8 @@ class AnswerOptions:
         >>> engine.answer_many(items, AnswerOptions(max_workers=2))
 
     Fields that a given entry point does not use are ignored there
-    (``max_workers`` and ``chunk_size`` only matter to batches, ``strategy``
-    only to sharded execution), so one options value can drive a mixed
-    workload.
+    (``max_workers`` only matters to batches, ``strategy`` only to sharded
+    execution), so one options value can drive a mixed workload.
 
     ``deadline`` is a *relative* budget in seconds: execution runs under a
     cooperative cancellation token that expires that many seconds after the
@@ -73,7 +72,6 @@ class AnswerOptions:
     shards: Optional[int] = None
     strategy: str = "balanced"
     max_workers: Optional[int] = None
-    chunk_size: Optional[int] = None
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -81,8 +79,6 @@ class AnswerOptions:
             raise ValueError("AnswerOptions.shards must be >= 1")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("AnswerOptions.max_workers must be >= 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("AnswerOptions.chunk_size must be >= 1")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("AnswerOptions.deadline must be > 0 seconds")
 
@@ -122,14 +118,10 @@ class ConsistentAnswerEngine:
         by default, ``"exhaustive"`` for ground-truth testing).
     plan_cache_size:
         Capacity of the LRU plan cache.
-    batch_workers:
-        Default worker-process count for :meth:`answer_many` (``None`` defers
-        to ``REPRO_BATCH_WORKERS`` or a cpu-derived default; servers size
-        their pools through this knob).
-    min_parallel_items:
-        Batch size below which :meth:`answer_many` always runs serially on
-        this engine (``None`` defers to ``REPRO_MIN_PARALLEL_ITEMS`` or the
-        built-in threshold).
+
+    Batch parallelism is not configured here: :meth:`answer_many` derives
+    it from ``AnswerOptions.max_workers``, the attached worker pool and the
+    cpu count (see :mod:`repro.engine.batch`).
     """
 
     def __init__(
@@ -137,8 +129,6 @@ class ConsistentAnswerEngine:
         backend: str = "operational",
         fallback: str = "branch_and_bound",
         plan_cache_size: int = 128,
-        batch_workers: Optional[int] = None,
-        min_parallel_items: Optional[int] = None,
     ) -> None:
         self._backend_name = backend
         self._fallback_name = fallback
@@ -160,10 +150,6 @@ class ConsistentAnswerEngine:
                 else None
             ),
         )
-        self._batch_workers = None if batch_workers is None else max(1, batch_workers)
-        self._min_parallel_items = (
-            None if min_parallel_items is None else max(1, min_parallel_items)
-        )
         self._shard_lock = threading.Lock()
         self._shard_stats: Dict[str, int] = {
             "requests": 0,
@@ -183,28 +169,6 @@ class ConsistentAnswerEngine:
     def fallback_name(self) -> str:
         return self._fallback_name
 
-    @property
-    def batch_workers(self) -> int:
-        """Effective worker count for batches (kwarg, else env/cpu default)."""
-        from repro.engine.batch import default_worker_count
-
-        return (
-            self._batch_workers
-            if self._batch_workers is not None
-            else default_worker_count()
-        )
-
-    @property
-    def min_parallel_items(self) -> int:
-        """Effective serial/parallel threshold for batches."""
-        from repro.engine.batch import default_min_parallel_items
-
-        return (
-            self._min_parallel_items
-            if self._min_parallel_items is not None
-            else default_min_parallel_items()
-        )
-
     def config(self) -> Dict[str, object]:
         """Picklable constructor arguments (used by the batch executor).
 
@@ -215,8 +179,6 @@ class ConsistentAnswerEngine:
             "backend": self._backend_name,
             "fallback": self._fallback_name,
             "plan_cache_size": self._cache.maxsize,
-            "batch_workers": self._batch_workers,
-            "min_parallel_items": self._min_parallel_items,
         }
 
     @property
@@ -480,28 +442,18 @@ class ConsistentAnswerEngine:
     ):
         """Answer a batch of (query, instance) pairs with per-item timings.
 
-        Work is chunked and fanned out across processes when
-        ``AnswerOptions.max_workers`` allows it; see
-        :func:`repro.engine.batch.execute_batch`.  Closed queries yield a
-        :class:`RangeAnswer`, GROUP BY queries a per-group dict.  Results
-        come back in submission order.  ``max_workers`` defaults to the
-        engine's ``batch_workers`` configuration.
+        Work is chunked and fanned out across processes; see
+        :func:`repro.engine.batch.execute_batch`.  ``AnswerOptions.max_workers``
+        pins the width (1 = serial on this engine); by default it is the
+        attached pool's size, else derived from the cpu count.  Closed
+        queries yield a :class:`RangeAnswer`, GROUP BY queries a per-group
+        dict.  Results come back in submission order.
         """
         from repro.engine.batch import execute_batch
 
         opts = options if options is not None else AnswerOptions()
         with self._deadline_scope(opts):
-            return execute_batch(
-                self,
-                items,
-                max_workers=(
-                    self._batch_workers
-                    if opts.max_workers is None
-                    else opts.max_workers
-                ),
-                chunk_size=opts.chunk_size,
-                min_parallel_items=self._min_parallel_items,
-            )
+            return execute_batch(self, items, max_workers=opts.max_workers)
 
     # -- sharding telemetry ------------------------------------------------------------
 

@@ -65,6 +65,7 @@ from repro.engine.cancellation import (
 )
 from repro.exceptions import ReproError
 from repro.obs.caches import cache_report, register_cache
+from repro.obs.cost import add_cost
 from repro.obs.log import get_logger
 from repro.obs.trace import remote_root, span as obs_span
 from repro.query.aggregation import AggregationQuery
@@ -79,6 +80,19 @@ _LOG = get_logger("workers")
 #: serving a stale resident instance long after the request is gone.
 _CANCELLABLE_KINDS = frozenset({"answer", "chunk", "shards"})
 
+#: Retries a job gets after crashing its worker, each on the respawned process.
+_MAX_RETRIES = 1
+
+#: Ceiling on the total ops a named ref's delta chain may accumulate before
+#: :meth:`WorkerPool.apply_named_delta` falls back to a full re-pickle: past
+#: it, replaying the chain on a cold worker costs more than re-reading a
+#: fresh spool file.
+_DELTA_MAX_OPS = 256
+
+#: Boot start method: ``fork`` where available (cheap, inherits the
+#: imported library), else the platform default.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+
 
 class WorkerPoolError(ReproError):
     """Base class for worker-pool failures (maps to a structured 500)."""
@@ -86,12 +100,6 @@ class WorkerPoolError(ReproError):
 
 class WorkerCrashError(WorkerPoolError):
     """A job crashed its worker and exhausted its retry budget."""
-
-
-def default_pool_start_method() -> str:
-    """``fork`` where available (cheap, inherits the imported library)."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else multiprocessing.get_start_method()
 
 
 def shard_worker_of(fingerprint: str, shards: int, shard_index: int, workers: int) -> int:
@@ -367,6 +375,7 @@ def _worker_main(worker_id: int, engine_config: dict, job_conn, result_conn) -> 
         # shipped with the job; the finished tree rides the result message
         # back and is re-parented under the dispatching span client-side.
         root_span = None
+        started_cpu = time.thread_time()
         try:
             with remote_root(f"worker.{kind}", trace_ctx, worker=worker_id) as root_span:
                 # A deadline-only token: the parent's cancel flag cannot
@@ -374,23 +383,19 @@ def _worker_main(worker_id: int, engine_config: dict, job_conn, result_conn) -> 
                 # system-wide, so expiry is observed here all the same.
                 with token_scope(deadline_token(deadline)):
                     check_cancelled()
-                    result = handle(kind, payload)
+                    ok, result = True, handle(kind, payload)
             counters["jobs"] += 1
-            message = (
-                job_id,
-                True,
-                result,
-                _worker_stats(engine, resident, counters, residency),
-                [root_span.to_dict()] if root_span is not None else [],
-            )
         except BaseException as exc:  # noqa: BLE001 — every failure becomes a message
-            message = (
-                job_id,
-                False,
-                _encode_failure(exc),
-                _worker_stats(engine, resident, counters, residency),
-                [root_span.to_dict()] if root_span is not None else [],
-            )
+            ok, result = False, _encode_failure(exc)
+        message = (
+            job_id,
+            ok,
+            result,
+            # The job's CPU rides back: the dispatching request counts it.
+            (time.thread_time() - started_cpu) * 1000.0,
+            _worker_stats(engine, resident, counters, residency),
+            [root_span.to_dict()] if root_span is not None else [],
+        )
         try:
             result_conn.send(message)
         except (BrokenPipeError, OSError):
@@ -400,6 +405,13 @@ def _worker_main(worker_id: int, engine_config: dict, job_conn, result_conn) -> 
 # -- the pool ---------------------------------------------------------------------------
 
 
+class _JobFuture(Future):
+    """A job's future; ``cpu_ms`` is the worker CPU the job cost, set
+    before the future resolves."""
+
+    cpu_ms = 0.0
+
+
 @dataclass
 class _PendingJob:
     """Parent-side bookkeeping for one submitted, unresolved job."""
@@ -407,7 +419,7 @@ class _PendingJob:
     job_id: int
     kind: str
     payload: tuple
-    future: Future
+    future: _JobFuture
     worker_index: int
     generation: int
     attempts: int = 0
@@ -470,35 +482,18 @@ class WorkerPool:
     engine_config:
         Constructor kwargs for each worker's persistent engine (typically
         ``engine.config()`` of the engine the pool attaches to).
-    max_retries:
-        How many times a job is retried after crashing its worker (each
-        retry runs on the respawned process).
-    start_method:
-        Multiprocessing start method (default: ``fork`` when available).
-    delta_max_ops:
-        Ceiling on the total ops a named ref's delta chain may accumulate
-        before :meth:`apply_named_delta` falls back to a full re-pickle —
-        past that point replaying the chain on a cold worker costs more
-        than re-reading a fresh spool file.
     """
 
     def __init__(
         self,
         workers: int = 2,
         engine_config: Optional[dict] = None,
-        max_retries: int = 1,
-        start_method: Optional[str] = None,
-        delta_max_ops: int = 256,
     ) -> None:
         self._size = max(1, int(workers))
         self._engine_config = dict(engine_config or {})
-        self._max_retries = max(0, int(max_retries))
-        self._delta_max_ops = max(0, int(delta_max_ops))
         self._delta_ships = 0
         self._delta_reships = 0
-        self._context = multiprocessing.get_context(
-            start_method or default_pool_start_method()
-        )
+        self._context = multiprocessing.get_context(_START_METHOD)
         # Crash replacements never fork: at boot the process is quiescent,
         # but a respawn happens under full traffic, where a forked child
         # could inherit a module-level lock (plan cache, SQL memo, shard
@@ -781,7 +776,7 @@ class WorkerPool:
         latest version of ``name`` to ``instance`` — each op must have
         applied (bumped ``data_version`` by one), which is what the
         arithmetic guard checks.  When the delta chains cleanly and the
-        accumulated chain stays within ``delta_max_ops``, the new ref
+        accumulated chain stays within ``_DELTA_MAX_OPS``, the new ref
         shares the old spool file and workers holding the previous version
         resident fast-forward in place; otherwise the method falls back to
         a full re-pickle via :meth:`register_instance`.
@@ -805,7 +800,7 @@ class WorkerPool:
             or not ops
             or aliased
             or old.data_version + len(ops) != instance.data_version
-            or chained_ops + len(ops) > self._delta_max_ops
+            or chained_ops + len(ops) > _DELTA_MAX_OPS
         ):
             self._delta_reships += 1
             return self.register_instance(name, instance)
@@ -911,8 +906,8 @@ class WorkerPool:
         kind: str,
         payload: tuple,
         parent_span: Optional[object] = None,
-    ) -> Future:
-        future: Future = Future()
+    ) -> _JobFuture:
+        future = _JobFuture()
         with self._lock:
             if not self._started or self._closed:
                 raise WorkerPoolError("worker pool is not running")
@@ -992,7 +987,7 @@ class WorkerPool:
             except (EOFError, OSError):
                 self._recover_worker(handle)
                 return
-            job_id, ok, payload, stats, spans = message
+            job_id, ok, payload, cpu_ms, stats, spans = message
             with self._lock:
                 handle.stats = stats
                 job = self._pending.pop(job_id, None)
@@ -1003,6 +998,7 @@ class WorkerPool:
             # resolution is the happens-before edge that publishes them.
             if spans and job.parent_span is not None:
                 job.parent_span.add_remote_children(spans)
+            job.future.cpu_ms = cpu_ms
             if ok:
                 job.future.set_result(payload)
             else:
@@ -1058,7 +1054,7 @@ class WorkerPool:
             self._retry_or_fail(job)
 
     def _retry_or_fail(self, job: _PendingJob) -> None:
-        if job.attempts >= self._max_retries or self._closed:
+        if job.attempts >= _MAX_RETRIES or self._closed:
             if not job.future.done():
                 job.future.set_exception(
                     WorkerCrashError(
@@ -1199,11 +1195,15 @@ class WorkerPool:
         ]
 
     @staticmethod
-    def _result(future: Future, timeout: Optional[float]):
+    def _result(future: _JobFuture, timeout: Optional[float]):
         try:
-            return future.result(timeout)
+            result = future.result(timeout)
         except (TimeoutError, concurrent.futures.TimeoutError):
             raise WorkerPoolError("worker job timed out") from None
+        # The calling thread only waited: the job's CPU was spent in the
+        # worker, and it counts toward the dispatching request's cost.
+        add_cost("engine_cpu_ms", future.cpu_ms)
+        return result
 
     # -- observability ------------------------------------------------------------------
 

@@ -211,7 +211,7 @@ def run_engine_throughput_experiment(
         )
     )
 
-    from repro.engine.batch import default_worker_count
+    from repro.engine.batch import batch_width
 
     for label, workers in (("serial", 1), ("parallel", max_workers)):
         batch_engine = ConsistentAnswerEngine()
@@ -219,10 +219,7 @@ def run_engine_throughput_experiment(
         results, seconds = _timed(
             lambda: batch_engine.answer_many(items, AnswerOptions(max_workers=workers))
         )
-        effective = min(
-            default_worker_count() if workers is None else max(1, workers),
-            len(items),
-        )
+        effective = min(batch_width(batch_engine, workers), len(items))
         rows.append(
             ExperimentRow(
                 "engine_batch",

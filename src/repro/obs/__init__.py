@@ -12,12 +12,13 @@ depend on it without cycles:
   active trace id.
 * :mod:`repro.obs.metrics` — the one metrics model: counters, gauges and
   labelled histograms with exemplars, in registries.  The process-global
-  ``REGISTRY`` holds signals below the HTTP layer (fsync latency, cache
-  mirrors, ...); each server owns one more for its request metrics, and
+  ``REGISTRY`` holds signals below the HTTP layer (fsync latency, shard
+  fallbacks, ...); each server owns one more for its request metrics, and
   both its JSON ``/metrics`` and its Prometheus page read them.
 * :mod:`repro.obs.prometheus` — hand-rolled text exposition of registries.
 * :mod:`repro.obs.caches` — the one LRU ledger (``PlanCache``) and the
-  common report schema behind ``GET /debug/caches``.
+  common report schema behind ``GET /debug/caches`` and, built per scrape,
+  the ``repro_cache_*`` Prometheus families.
 * :mod:`repro.obs.sample` — head 1-in-N sampling with a tail-based keep
   rule (slow/error traces are always retained).
 * :mod:`repro.obs.export` — OTLP/JSON span export with a bounded queue and
@@ -47,12 +48,7 @@ from repro.obs.cost import CostTable, add_cost, rollup
 from repro.obs.export import SpanExporter, encode_traces
 from repro.obs.log import StructuredLogger, get_logger, set_log_level
 from repro.obs.runtime import EventLoopLagProbe
-from repro.obs.sample import (
-    DroppedTraceLog,
-    TraceSampler,
-    env_sample_rate,
-    parse_sample_rate,
-)
+from repro.obs.sample import DroppedTraceLog, TraceSampler
 from repro.obs.metrics import (
     REGISTRY,
     Counter,
@@ -106,10 +102,8 @@ __all__ = [
     "current_span",
     "current_trace_id",
     "encode_traces",
-    "env_sample_rate",
     "get_logger",
     "new_trace_id",
-    "parse_sample_rate",
     "propagation_context",
     "remote_root",
     "render_prometheus",

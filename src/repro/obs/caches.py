@@ -13,8 +13,8 @@ cost table.  This module gives them one ledger and one reporting surface:
   under a stable name; :meth:`CacheStatsRegistry.snapshot` calls every
   provider (each inside its own ``cache.stats`` span, so scrapes are
   traceable per cache) and returns a list of reports in the common schema.
-  ``GET /debug/caches`` serves the snapshot; :meth:`publish` mirrors it
-  into the ``repro_cache_*`` Prometheus families.
+  ``GET /debug/caches`` serves the snapshot; :meth:`metrics` builds the
+  ``repro_cache_*`` Prometheus families from a fresh one at each scrape.
 * :func:`cache_report` — the schema constructor: size, capacity,
   hit/miss/eviction counters, hit rate, per-``instance`` attribution,
   an eviction-age histogram, and approximate resident bytes.
@@ -50,7 +50,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.obs.metrics import REGISTRY, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import span as obs_span
 
 V = TypeVar("V")
@@ -403,9 +403,15 @@ class CacheStatsRegistry:
                 reports.append(report)
         return reports
 
-    def publish(self, registry: MetricsRegistry = REGISTRY) -> List[Dict[str, Any]]:
-        """Mirror a snapshot into the ``repro_cache_*`` Prometheus families."""
-        reports = self.snapshot()
+    def metrics(self) -> MetricsRegistry:
+        """The ``repro_cache_*`` Prometheus families of one fresh snapshot.
+
+        Built into a registry made for this one scrape, so every number is
+        read from the cache's own ledger at scrape time: a cache that was
+        reset (``clear_summary_cache``, a replaced engine) exports what its
+        ledger says, exactly as ``GET /debug/caches`` does.
+        """
+        registry = MetricsRegistry()
         size = registry.gauge("repro_cache_size", "Entries resident per cache.")
         capacity = registry.gauge("repro_cache_capacity", "Configured capacity per cache.")
         approx = registry.gauge(
@@ -432,7 +438,7 @@ class CacheStatsRegistry:
             "repro_cache_eviction_age_seconds_count",
             "Evictions contributing to the age histogram per cache.",
         )
-        for report in reports:
+        for report in self.snapshot():
             name = report.get("name", "?")
             if "error" in report:
                 continue
@@ -441,20 +447,20 @@ class CacheStatsRegistry:
                 capacity.set(report["capacity"], cache=name)
             if report.get("approx_bytes") is not None:
                 approx.set(report["approx_bytes"], cache=name)
-            hits.set_total(report["hits"], cache=name)
-            misses.set_total(report["misses"], cache=name)
-            evictions.set_total(report["evictions"], cache=name)
+            hits.inc(report["hits"], cache=name)
+            misses.inc(report["misses"], cache=name)
+            evictions.inc(report["evictions"], cache=name)
             for label, counters in report.get("by_instance", {}).items():
                 if "hits" in counters:
-                    inst_hits.set_total(counters["hits"], cache=name, instance=label)
+                    inst_hits.inc(counters["hits"], cache=name, instance=label)
                 if "evictions" in counters:
-                    inst_evictions.set_total(
+                    inst_evictions.inc(
                         counters["evictions"], cache=name, instance=label
                     )
             ages = report.get("eviction_ages") or {}
             age_sum.set(float(ages.get("sum_seconds", 0.0)), cache=name)
             age_count.set(float(ages.get("count", 0)), cache=name)
-        return reports
+        return registry
 
 
 #: The process-global registry the five caches register with.

@@ -12,22 +12,20 @@ request that caused it.  Events ride Python's stdlib ``logging`` (logger
 name ``repro.obs``), so tests and embedders can attach handlers or raise
 the level; the default handler writes to stderr and does not propagate,
 keeping lines un-duplicated when an application configures the root logger.
+The threshold is ``info`` until :func:`set_log_level` (the server's
+``--log-level``) changes it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import time
-import warnings
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict
 
 from repro.obs.trace import current_trace_id
 
 _LOGGER_NAME = "repro.obs"
-
-ENV_LOG_LEVEL = "REPRO_LOG_LEVEL"
 
 _LEVELS = {
     "debug": logging.DEBUG,
@@ -36,39 +34,18 @@ _LEVELS = {
     "error": logging.ERROR,
 }
 
-_WARNED_ENV_NAMES: Set[str] = set()
-
-
-def _reset_env_warnings() -> None:
-    """Test hook mirroring :func:`repro.engine.batch._reset_env_warnings`."""
-    _WARNED_ENV_NAMES.clear()
-
-
-def parse_log_level(raw: Optional[str], env_name: str = ENV_LOG_LEVEL) -> Optional[int]:
-    """Map ``debug|info|warning|error`` (any case) to a logging level.
-
-    Returns ``None`` for unset/empty input; malformed values warn once per
-    process and also return ``None`` (keep the ``info`` default).
-    """
-    if raw is None or not raw.strip():
-        return None
-    level = _LEVELS.get(raw.strip().lower())
-    if level is None and env_name not in _WARNED_ENV_NAMES:
-        _WARNED_ENV_NAMES.add(env_name)
-        warnings.warn(
-            f"ignoring malformed {env_name}={raw!r} "
-            f"(expected one of {', '.join(sorted(_LEVELS))}); keeping 'info'",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-    return level
-
 
 def set_log_level(level: str) -> None:
-    """Set the shared ``repro.obs`` logger's threshold (``debug``..``error``)."""
-    parsed = parse_log_level(level)
-    if parsed is not None:
-        _base_logger().setLevel(parsed)
+    """Set the shared ``repro.obs`` logger's threshold (``debug``..``error``).
+
+    Raises :class:`ValueError` for any other name.
+    """
+    parsed = _LEVELS.get(level.strip().lower())
+    if parsed is None:
+        raise ValueError(
+            f"unknown log level {level!r}; use one of {', '.join(sorted(_LEVELS))}"
+        )
+    _base_logger().setLevel(parsed)
 
 
 def _base_logger() -> logging.Logger:
@@ -77,8 +54,7 @@ def _base_logger() -> logging.Logger:
         handler = logging.StreamHandler()  # stderr
         handler.setFormatter(logging.Formatter("%(message)s"))
         logger.addHandler(handler)
-        env_level = parse_log_level(os.environ.get(ENV_LOG_LEVEL))
-        logger.setLevel(logging.INFO if env_level is None else env_level)
+        logger.setLevel(logging.INFO)
         logger.propagate = False
     return logger
 

@@ -5,12 +5,13 @@ Every number the service reports is recorded once, into an instrument of a
 
 * the process-global :data:`REGISTRY` holds what lives below the HTTP
   layer — worker queue depth, store fsync latency, shard fallback reasons,
-  admission decisions, the ``repro_cache_*`` families — so any layer can
-  record without a cycle (``repro.obs`` imports nothing from
-  ``serve``/``engine``/``store``);
+  admission decisions — so any layer can record without a cycle
+  (``repro.obs`` imports nothing from ``serve``/``engine``/``store``);
 * each server owns one more registry for its request counters and latency
   histograms (:class:`~repro.serve.metrics.ServerMetrics`), per server
-  because one process may run several.
+  because one process may run several;
+* the ``repro_cache_*`` families are built per scrape from the caches' own
+  ledgers (:meth:`~repro.obs.caches.CacheStatsRegistry.metrics`).
 
 The JSON ``GET /metrics`` reads these instruments and the Prometheus page
 (:mod:`repro.obs.prometheus`) renders them, so the two views cannot
@@ -88,18 +89,6 @@ class Counter(_Instrument):
     """Monotonic counter, optionally broken down by labels."""
 
     kind = "counter"
-
-    def set_total(self, total: float, **labels: object) -> None:
-        """Overwrite the cumulative total for a label set, monotonically.
-
-        For mirroring a counter whose source of truth lives elsewhere (a
-        cache's own hit/eviction tally) into the exposition registry: the
-        value only moves forward, so a stale mirror cannot make the series
-        non-monotonic.
-        """
-        key = _labels_key(labels)
-        with self._lock:
-            self._values[key] = max(self._values.get(key, 0.0), float(total))
 
 
 class Gauge(_Instrument):

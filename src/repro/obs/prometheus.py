@@ -1,12 +1,13 @@
 """Hand-rolled Prometheus text exposition (format version 0.0.4).
 
 :func:`render` writes every instrument of the registries it is given — the
-server's own request metrics, then the process-global
-:data:`~repro.obs.metrics.REGISTRY` — the same way: a ``# HELP`` and
-``# TYPE`` header, then the instrument's samples (a histogram's cumulative
-``_bucket{le=...}`` series, ``_sum`` and ``_count``).  Bucket lines carry
-OpenMetrics exemplars (``... # {trace_id="..."} value ts``) when the bucket
-has one, linking a percentile spike straight to ``GET /traces/{id}``.
+server's own request metrics, the process-global
+:data:`~repro.obs.metrics.REGISTRY`, then the cache families built for the
+scrape — the same way: a ``# HELP`` and ``# TYPE`` header, then the
+instrument's samples (a histogram's cumulative ``_bucket{le=...}`` series,
+``_sum`` and ``_count``).  Bucket lines carry OpenMetrics exemplars
+(``... # {trace_id="..."} value ts``) when the bucket has one, linking a
+percentile spike straight to ``GET /traces/{id}``.
 
 No client library is involved: the format is four line shapes (``# HELP``,
 ``# TYPE``, samples, blank) and is produced with plain string formatting.

@@ -15,10 +15,9 @@ splits the decision in two:
   rescued when they turn out slow (over the server's ``slow_query_ms``) or
   erroneous (5xx) — exactly the traces worth keeping at 100%.
 
-The rate comes from ``--trace-sample N`` or the ``REPRO_TRACE_SAMPLE``
-environment variable (``N`` or ``1/N``; malformed values warn once and fall
-back to 1, the trace-everything default — the same contract as the
-``REPRO_BATCH_*`` knobs).
+The server pins the rate with ``--trace-sample N`` (or ``1/N``; anything
+else is a usage error); otherwise it starts at 1, trace everything, and the
+adaptive controller (:mod:`repro.obs.control`) moves it.
 
 :class:`DroppedTraceLog` remembers recently sampled-out trace ids so
 ``GET /traces/{id}`` can tell "sampled out" apart from "evicted".
@@ -26,15 +25,11 @@ back to 1, the trace-everything default — the same contract as the
 
 from __future__ import annotations
 
-import os
 import threading
-import warnings
 from collections import deque
 from typing import Optional, Set
 
 from repro.obs.metrics import REGISTRY
-
-ENV_SAMPLE_RATE = "REPRO_TRACE_SAMPLE"
 
 #: Retention decisions, in precedence order.
 DECISION_HEAD = "head"
@@ -43,55 +38,6 @@ DECISION_ERROR = "error"
 DECISION_DROP = "sampled_out"
 
 _RETENTION_HELP = "Trace retention decisions at trace close, by decision."
-
-_WARNED_ENV_NAMES: Set[str] = set()
-
-
-def _reset_env_warnings() -> None:
-    """Test hook mirroring :func:`repro.engine.batch._reset_env_warnings`."""
-    _WARNED_ENV_NAMES.clear()
-
-
-def _warn_once(name: str, raw: str) -> None:
-    if name not in _WARNED_ENV_NAMES:
-        _WARNED_ENV_NAMES.add(name)
-        warnings.warn(
-            f"ignoring malformed {name}={raw!r} (expected a positive integer "
-            f"N or '1/N'); tracing every request",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-
-
-def parse_sample_rate(raw: Optional[str], env_name: str = ENV_SAMPLE_RATE) -> int:
-    """Parse a sample rate spec: ``"10"`` and ``"1/10"`` both mean 1-in-10.
-
-    Returns 1 (trace everything) for ``None``/empty/malformed input;
-    malformed input additionally warns once per process.
-    """
-    if raw is None or not raw.strip():
-        return 1
-    text = raw.strip()
-    if "/" in text:
-        numerator, _, denominator = text.partition("/")
-        if numerator.strip() != "1":
-            _warn_once(env_name, raw)
-            return 1
-        text = denominator.strip()
-    try:
-        rate = int(text)
-    except ValueError:
-        _warn_once(env_name, raw)
-        return 1
-    if rate < 1:
-        _warn_once(env_name, raw)
-        return 1
-    return rate
-
-
-def env_sample_rate() -> int:
-    """The process-wide default rate from ``REPRO_TRACE_SAMPLE`` (1 if unset)."""
-    return parse_sample_rate(os.environ.get(ENV_SAMPLE_RATE))
 
 
 class TraceSampler:
@@ -104,7 +50,7 @@ class TraceSampler:
     """
 
     def __init__(self, rate: Optional[int] = None) -> None:
-        self._rate = env_sample_rate() if rate is None else max(1, int(rate))
+        self._rate = 1 if rate is None else max(1, int(rate))
         self._lock = threading.Lock()
         self._counter = 0
 

@@ -42,16 +42,12 @@ TRACE_HEADER = "X-Repro-Trace-Id"
 TraceContext = Tuple[str, str]
 
 
-def _env_default() -> bool:
-    raw = os.environ.get("REPRO_TRACING", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-_tracing_enabled: bool = _env_default()
+_tracing_enabled: bool = True
 
 
 def set_tracing(enabled: bool) -> None:
-    """Globally enable/disable tracing (per-process switch)."""
+    """Globally enable/disable tracing (per-process switch; on by default,
+    off with the server's ``--no-tracing``)."""
     global _tracing_enabled
     _tracing_enabled = bool(enabled)
 

@@ -7,12 +7,14 @@ Examples::
     python -m repro.serve --workers 4             # 4 engine worker processes
     python -m repro.serve --backend sqlite --threads 8 --max-pending 256
     python -m repro.serve --store-dir ./instances  # durable registry
-    REPRO_BATCH_WORKERS=4 python -m repro.serve --max-batch-workers 4
+    python -m repro.serve --trace-sample 1/10 --log-level warning
 
 ``--workers N`` is the process mode: CPU-bound plan execution runs on a
 long-lived pool of N engine worker processes (GIL-free parallelism, warm
-per-worker caches, crash respawn).  Without it the server executes on the
-``--threads``-sized thread pool, as before.
+per-worker caches, crash respawn), and ``/answer_many`` batches fan out
+across it.  Without it the server executes on the ``--threads``-sized
+thread pool and runs batches serially.  Every setting is a flag: the
+server reads no environment variables.
 """
 
 from __future__ import annotations
@@ -21,8 +23,21 @@ import argparse
 import asyncio
 import sys
 
-from repro.obs.sample import parse_sample_rate
 from repro.serve.app import SERVER_NAME, ServeConfig, run_server
+
+
+def sample_rate(text: str) -> int:
+    """Parse ``--trace-sample``: ``N`` and ``1/N`` both mean 1 in N (N >= 1)."""
+    numerator, slash, denominator = text.strip().rpartition("/")
+    try:
+        rate = int(denominator)
+    except ValueError:
+        rate = 0
+    if (slash and numerator.strip() != "1") or rate < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected N or 1/N with an integer N >= 1, got {text!r}"
+        )
+    return rate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,12 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request execution budget (504 when exceeded)",
     )
     parser.add_argument(
-        "--max-batch-workers",
-        type=int,
-        default=defaults.max_batch_workers,
-        help="process fan-out cap for /answer_many (1 = serial, cache-warming)",
-    )
-    parser.add_argument(
         "--plan-cache-size", type=int, default=defaults.plan_cache_size
     )
     parser.add_argument(
@@ -124,11 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trace-sample",
+        type=sample_rate,
         default=None,
         metavar="N|1/N",
         help="pin head-sampling to 1 in N traces and disable the adaptive "
-        "controller (slow and 5xx traces are always kept); default: "
-        "REPRO_TRACE_SAMPLE, else adaptive",
+        "controller (slow and 5xx traces are always kept); default: adaptive",
     )
     parser.add_argument(
         "--trace-target-rps",
@@ -171,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-level",
         default=None,
         choices=("debug", "info", "warning", "error"),
-        help="structured-log threshold (default: REPRO_LOG_LEVEL or info)",
+        help="structured-log threshold (default: info)",
     )
     return parser
 
@@ -186,7 +195,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         workers=args.threads,
         max_pending=args.max_pending,
         request_timeout_s=args.request_timeout,
-        max_batch_workers=args.max_batch_workers,
         register_builtins=not args.no_builtins,
         worker_processes=max(0, args.workers),
         store_dir=args.store_dir,
@@ -194,11 +202,7 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         tracing=not args.no_tracing,
         trace_buffer=max(1, args.trace_buffer),
         slow_query_ms=args.slow_query_ms,
-        trace_sample=(
-            parse_sample_rate(args.trace_sample, "--trace-sample")
-            if args.trace_sample is not None
-            else None
-        ),
+        trace_sample=args.trace_sample,
         trace_target_rps=(
             args.trace_target_rps if args.trace_target_rps > 0 else None
         ),

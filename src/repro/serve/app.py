@@ -24,9 +24,10 @@ Architecture (stdlib only — no third-party web framework):
   lowered per request) and times out with ``504`` — the worker thread
   finishes in the background but the client is released;
 * batched requests (``POST /answer_many``) reuse the
-  :mod:`repro.engine.batch` machinery; the server caps their process
-  fan-out (``max_batch_workers``, default serial) because the serial path
-  is what warms the shared plan cache.
+  :mod:`repro.engine.batch` machinery: serially on the serving thread in
+  thread mode (the path that warms the shared plan cache, and one that
+  never forks from this threaded process), as chunks across the worker
+  pool under ``--workers``.
 
 * with ``store_dir`` set (the CLI's ``--store-dir``) the registry is backed
   by a durable :class:`~repro.store.InstanceStore`: every registered
@@ -292,24 +293,20 @@ class ServeConfig:
     """Boot configuration of the serving layer.
 
     ``workers`` sizes the engine thread pool (``None`` → cpu-derived);
-    ``max_pending`` bounds the admission queue beyond the in-flight slots;
-    ``max_batch_workers`` caps the process fan-out a single ``/answer_many``
-    request may ask for.  The default of 1 (always the serial,
-    cache-warming path) is also the safe one: raising it makes batch
-    requests fork a process pool from this multithreaded server, which on
-    fork-start-method platforms can inherit locks held by other request
-    threads — only raise it on deployments that accept that risk.  Sharded
-    execution never forks: for instances registered with ``shards > 1``,
-    shard summaries run in-process on the serving thread, or on the worker
-    pool below, with one summary cache in this process either way.
+    ``max_pending`` bounds the admission queue beyond the in-flight slots.
+    The server never forks per request: forking this multithreaded process
+    could inherit locks held by other request threads.  So in thread mode
+    ``/answer_many`` runs serially (the cache-warming path), and for
+    instances registered with ``shards > 1`` shard summaries run
+    in-process on the serving thread, or on the worker pool below, with
+    one summary cache in this process either way.
 
-    ``worker_processes`` is the opt-in process mode that replaces the
-    caveat above: the server boots a long-lived
-    :class:`~repro.engine.workers.WorkerPool` of that many engine worker
-    processes at ``start()`` — no per-request forking — and dispatches
-    CPU-bound plan execution, ``/answer_many`` chunks and the shard
-    summaries the cache missed to it.  Threads remain the fallback (``0``
-    keeps the pure thread-pool behaviour).
+    ``worker_processes`` is the opt-in process mode: the server boots a
+    long-lived :class:`~repro.engine.workers.WorkerPool` of that many
+    engine worker processes at ``start()`` and dispatches CPU-bound plan
+    execution, ``/answer_many`` chunks (one per worker, from two items up)
+    and the shard summaries the cache missed to it.  Threads remain the
+    fallback (``0`` keeps the pure thread-pool behaviour).
 
     ``store_dir`` opts into durability: registered instances and their
     mutations persist under that directory and are reloaded at boot.
@@ -325,7 +322,6 @@ class ServeConfig:
     workers: Optional[int] = None
     max_pending: int = 64
     request_timeout_s: float = 30.0
-    max_batch_workers: int = 1
     max_body_bytes: int = 16 * 1024 * 1024
     register_builtins: bool = True
     worker_processes: int = 0
@@ -338,11 +334,10 @@ class ServeConfig:
     #: Requests at or above this wall time (ms) log their full span tree;
     #: ``None`` disables the slow-query log, ``0`` logs every request.
     slow_query_ms: Optional[float] = None
-    #: Head-sample 1 in N traces.  ``None`` (the default) defers to
-    #: ``REPRO_TRACE_SAMPLE`` for the *starting* rate and lets the adaptive
-    #: controller adjust it; an explicit integer *pins* the rate and
-    #: disables the controller.  Slow and 5xx traces are always retained
-    #: (tail keep), whatever the rate.
+    #: Head-sample 1 in N traces.  ``None`` (the default) starts at 1 and
+    #: lets the adaptive controller adjust the rate; an explicit integer
+    #: *pins* the rate and disables the controller.  Slow and 5xx traces
+    #: are always retained (tail keep), whatever the rate.
     trace_sample: Optional[int] = None
     #: Traced-requests-per-second budget for the adaptive sampling
     #: controller: the head rate 1/N tracks the observed arrival rate so
@@ -364,7 +359,7 @@ class ServeConfig:
     #: sinks ignore it (NDJSON stays greppable).
     otlp_gzip: bool = False
     #: Structured-log threshold (``debug``/``info``/``warning``/``error``);
-    #: ``None`` keeps ``REPRO_LOG_LEVEL`` or the ``info`` default.
+    #: ``None`` keeps the current level (``info`` by default).
     log_level: Optional[str] = None
 
     def resolved_workers(self) -> int:
@@ -432,25 +427,11 @@ class ConsistentAnswerServer:
         self.config = config or ServeConfig()
         workers = self.config.resolved_workers()
         pool_size = max(0, self.config.worker_processes)
-        if engine is not None:
-            self.engine = engine
-        elif pool_size > 0:
-            # Process mode: batches default to the pool width, and even
-            # small batches are worth dispatching (workers are warm).
-            self.engine = ConsistentAnswerEngine(
-                backend=self.config.backend,
-                fallback=self.config.fallback,
-                plan_cache_size=self.config.plan_cache_size,
-                batch_workers=pool_size,
-                min_parallel_items=2,
-            )
-        else:
-            self.engine = ConsistentAnswerEngine(
-                backend=self.config.backend,
-                fallback=self.config.fallback,
-                plan_cache_size=self.config.plan_cache_size,
-                batch_workers=self.config.max_batch_workers,
-            )
+        self.engine = engine if engine is not None else ConsistentAnswerEngine(
+            backend=self.config.backend,
+            fallback=self.config.fallback,
+            plan_cache_size=self.config.plan_cache_size,
+        )
         self._pool: Optional[WorkerPool] = (
             WorkerPool(workers=pool_size, engine_config=self.engine.config())
             if pool_size > 0
@@ -898,10 +879,12 @@ class ConsistentAnswerServer:
         :meth:`_parse_query_request` tags the root span with the instance
         and plan label (the table key), and :meth:`_dispatch` measures the
         engine thread's CPU into the root's ``engine_cpu_ms`` — exact per
-        request, sampled or not.  A request shed by admission (503) never
-        reached an engine thread; observing it would teach the predictor
-        that its plan is cheap.  Runs for sampled-out traces too — cost
-        accounting must see all the traffic to rank plans honestly.
+        request, sampled or not; under ``--workers`` the worker CPU of each
+        pool job is added (the thread only waits on the pool).  A request
+        shed by admission (503) never reached an engine thread; observing
+        it would teach the predictor that its plan is cheap.  Runs for
+        sampled-out traces too — cost accounting must see all the traffic
+        to rank plans honestly.
         """
         instance = root.tags.get("instance")
         plan = root.tags.get("plan")
@@ -1296,30 +1279,22 @@ class ConsistentAnswerServer:
             pairs.append((query, entry.instance))
             names.append(entry.name)
             entries.append(entry)
-        requested_workers = payload.get("max_workers")
-        if requested_workers is not None and (
-            not isinstance(requested_workers, int) or requested_workers < 1
-        ):
-            raise ProtocolError("'max_workers' must be a positive integer")
         pool = self._pool
         if pool is not None and pool.is_running:
-            # Process mode: batches parallelise across the persistent pool
-            # by default (no fork risk — the workers already exist).  Prime
-            # the *named* refs first so the batch path shares each registry
-            # entry's pickled-once ref instead of minting anonymous keys
-            # (one resident copy per worker, invalidatable by name).
+            # Process mode: the batch fans out across the persistent pool
+            # (no fork risk — the workers already exist).  Prime the *named*
+            # refs first so the batch path shares each registry entry's
+            # pickled-once ref instead of minting anonymous keys (one
+            # resident copy per worker, invalidatable by name).
             for entry in entries:
                 pool.ref_for(entry.instance, name=entry.name)
-            default_workers, cap = pool.size, max(
-                pool.size, self.config.max_batch_workers
-            )
+            options = AnswerOptions()
         else:
-            default_workers, cap = 1, max(1, self.config.max_batch_workers)
-        workers = min(requested_workers or default_workers, cap)
+            # Thread mode: serial on this thread, never a fork.
+            options = AnswerOptions(max_workers=1)
         timeout = self._effective_timeout(self._timeout_of(payload))
         results = await self._dispatch(
-            lambda: self.engine.answer_many(pairs, AnswerOptions(max_workers=workers)),
-            timeout,
+            lambda: self.engine.answer_many(pairs, options), timeout
         )
         encoded = []
         for result, name in zip(results, names):
@@ -1491,8 +1466,9 @@ class ConsistentAnswerServer:
         wants_prometheus = "prometheus" in parse_qs(query).get("format", [])
         if wants_prometheus:
             self._refresh_registry_gauges()
-            CACHE_REGISTRY.publish(REGISTRY)
-            page = render_prometheus(self.metrics.registry, REGISTRY)
+            page = render_prometheus(
+                self.metrics.registry, REGISTRY, CACHE_REGISTRY.metrics()
+            )
             return 200, _TextResponse(page)
         stats = self.engine.cache_stats()
         snapshot = self.metrics.snapshot()

@@ -229,17 +229,18 @@ class ServeClient:
     async def answer_many(
         self,
         items: Sequence[Tuple[str, str]],
-        max_workers: Optional[int] = None,
         timeout_s: Optional[float] = None,
     ) -> List[Dict[str, object]]:
-        """Answer a batch of ``(instance_name, query_text)`` pairs."""
+        """Answer a batch of ``(instance_name, query_text)`` pairs.
+
+        The server sizes the batch: serial in thread mode, one chunk per
+        worker under ``--workers``.
+        """
         payload: Dict[str, object] = {
             "items": [
                 {"instance": instance, "query": query} for instance, query in items
             ]
         }
-        if max_workers is not None:
-            payload["max_workers"] = max_workers
         if timeout_s is not None:
             payload["timeout_s"] = timeout_s
         status, body = await self.request("POST", "/answer_many", payload)

@@ -23,7 +23,10 @@ Reading is resilient by construction: a record whose header is incomplete,
 whose payload is shorter than its declared length, or whose checksum does
 not match terminates the scan — the reader reports the byte offset of the
 first bad record so the caller can truncate the file there (the crash-safe
-recovery :meth:`FactLog.replay` performs automatically).
+recovery :meth:`FactLog.scan` performs automatically).  Replay — which
+records apply over a snapshot — is the store's
+(:meth:`~repro.store.InstanceStore.load`): it also drops an uncommitted
+tail, which a bare scan cannot see.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.obs.log import get_logger
@@ -123,12 +126,12 @@ def _scan(raw: bytes) -> Tuple[List[LogRecord], List[int], Optional[int]]:
 class FactLog:
     """One instance's append-only mutation log.
 
-    Appends are durable (``flush`` + ``fsync``) before they return; replay
+    Appends are durable (``flush`` + ``fsync``) before they return; a scan
     tolerates a torn tail by truncating at the first bad record with a
     :class:`LogCorruptionWarning`.  The log is an *adjunct* to the snapshot:
-    records at or below the snapshot's version are skipped on replay, which
-    is what makes the snapshot-then-truncate compaction sequence crash-safe
-    at every intermediate point.
+    the store's replay skips records at or below the snapshot's version,
+    which is what makes the snapshot-then-truncate compaction sequence
+    crash-safe at every intermediate point.
     """
 
     def __init__(self, path: str) -> None:
@@ -209,21 +212,6 @@ class FactLog:
             handle.flush()
             os.fsync(handle.fileno())
 
-    def replay(self, base_version: int) -> Iterator[LogRecord]:
-        """Records to apply on top of a snapshot at ``base_version``.
-
-        Records with ``version <= base_version`` are already folded into the
-        snapshot (a compaction that crashed before truncating leaves them
-        behind) and are skipped.
-        """
-        for record in self.records():
-            if record.version > base_version:
-                yield record
-
-    def depth(self, base_version: int = 0) -> int:
-        """Number of records replay would apply over ``base_version``."""
-        return sum(1 for _ in self.replay(base_version))
-
     def truncate(self) -> None:
         """Drop every record (after a compaction folded them into a snapshot)."""
         with open(self._path, "wb") as handle:
@@ -232,9 +220,3 @@ class FactLog:
 
     def exists(self) -> bool:
         return os.path.exists(self._path)
-
-    def size_bytes(self) -> int:
-        try:
-            return os.path.getsize(self._path)
-        except OSError:
-            return 0

@@ -4,7 +4,7 @@ Unit tests cover :mod:`repro.obs.caches` in isolation — the monotone
 eviction-age histogram, the ``PlanCache`` ledger (attribution, peek,
 resize), the sampled recursive sizeof, the common report schema, and the
 provider registry (last-wins names, error isolation, the ``repro_cache_*``
-Prometheus mirror).  The integration tests boot a live
+Prometheus families built per scrape).  The integration tests boot a live
 server with several registered tenants, interleave mutations with
 answers, and assert that ``GET /debug/caches`` reports every cache in
 the common schema with per-*instance* (not per-lineage-token)
@@ -33,7 +33,7 @@ from repro.obs.caches import (
     approx_sizeof,
     cache_report,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.query.parser import parse_aggregation_query
 from repro.obs.trace import set_tracing
 from repro.datamodel.instance import DatabaseInstance
@@ -314,7 +314,7 @@ class TestCacheStatsRegistry:
         last = registry.MAX_LABELS + 9
         assert registry.instance_label(f"token-{last}") == f"name-{last}"
 
-    def test_publish_mirrors_reports_into_prometheus_families(self):
+    def test_scrape_builds_prometheus_families_from_reports(self):
         registry = CacheStatsRegistry()
         ages = {"bounds": [1.0], "counts": [1, 0], "count": 1, "sum_seconds": 0.5}
         registry.register(
@@ -331,9 +331,7 @@ class TestCacheStatsRegistry:
                 approx_bytes=999,
             ),
         )
-        metrics = MetricsRegistry()
-        registry.publish(metrics)
-        page = render_prometheus(metrics)
+        page = render_prometheus(registry.metrics())
         assert 'repro_cache_size{cache="c"} 2' in page
         assert 'repro_cache_capacity{cache="c"} 4' in page
         assert 'repro_cache_approx_bytes{cache="c"} 999' in page
@@ -350,19 +348,17 @@ class TestCacheStatsRegistry:
         )
         assert 'repro_cache_eviction_age_seconds_count{cache="c"} 1' in page
 
-    def test_published_counters_are_monotonic(self):
+    def test_scrape_after_a_cache_reset_reads_the_ledger(self):
         registry = CacheStatsRegistry()
         counters = {"hits": 10}
         registry.register(
             "c", lambda: cache_report("c", size=0, hits=counters["hits"])
         )
-        metrics = MetricsRegistry()
-        registry.publish(metrics)
-        # A cache reset (clear) must not drag the cumulative counter down.
-        counters["hits"] = 3
-        registry.publish(metrics)
-        page = render_prometheus(metrics)
+        page = render_prometheus(registry.metrics())
         assert 'repro_cache_hits_total{cache="c"} 10' in page
+        counters["hits"] = 3  # the cache was cleared and served 3 hits since
+        page = render_prometheus(registry.metrics())
+        assert 'repro_cache_hits_total{cache="c"} 3' in page
 
 
 # -- live-server integration -------------------------------------------------------------
@@ -394,10 +390,7 @@ async def _prometheus_page(server) -> str:
 
 
 def _spool_scrapes_after_a_delta_write():
-    """Answer, write, answer again through a two-process pool, then scrape.
-
-    Module-level so ``in_fresh_process`` can run it in a spawned interpreter.
-    """
+    """Answer, write, answer again through a two-process pool, then scrape."""
 
     async def scenario(server, client):
         await client.answer("stock", STOCK_SUM)
@@ -499,14 +492,36 @@ class TestServerCacheTelemetry:
             for row in spool["by_instance"].values()
         )
 
-    def test_worker_spool_hits_have_one_source(self, in_fresh_process):
-        page, reports = in_fresh_process(_spool_scrapes_after_a_delta_write)
+    def test_worker_spool_hits_have_one_source(self):
+        page, reports = _spool_scrapes_after_a_delta_write()
         spool = {r["name"]: r for r in reports}["worker_spool"]
         assert spool["hits"] >= 1
         # the deleted gauge left out delta fast-forwards and disagreed
         assert "repro_worker_spool_hits" not in page
         line = f'repro_cache_hits_total{{cache="worker_spool"}} {spool["hits"]}\n'
         assert line in page
+
+    def test_prometheus_reads_the_summary_cache_ledger_after_a_reset(self):
+        group_query = "(x, SUM(y)) <- Dealers(x, t), Stock(p, t, y)"
+        line = 'repro_cache_hits_total{{cache="summary_cache"}} {}\n'
+
+        async def scenario(server, client):
+            await client.register_instance(
+                "sharded", fig1_stock_instance(), shards=2
+            )
+            for _ in range(4):
+                await client.answer_group_by("sharded", group_query)
+            before = await _prometheus_page(server)
+            clear_summary_cache()
+            for _ in range(2):
+                await client.answer_group_by("sharded", group_query)
+            return before, await _prometheus_page(server)
+
+        clear_summary_cache()
+        before, after = serve_scenario(scenario)
+        assert line.format(6) in before  # 3 repeats x 2 shards
+        assert summary_cache_stats()["hits"] == 2
+        assert line.format(2) in after
 
     def test_prometheus_page_carries_cache_families(self):
         async def scenario(server, client):

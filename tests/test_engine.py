@@ -440,99 +440,69 @@ class TestSerialization:
         assert restored.is_bottom
 
 
-# -- tunable batch parallelism (engine kwargs + env overrides) ---------------------------
+# -- batch parallelism is derived, not configured ---------------------------------------
 
 
-class TestBatchConfiguration:
-    def test_constructor_kwargs_surface_in_config(self):
-        engine = ConsistentAnswerEngine(batch_workers=3, min_parallel_items=7)
-        config = engine.config()
-        assert config["batch_workers"] == 3
-        assert config["min_parallel_items"] == 7
-        assert engine.batch_workers == 3
-        assert engine.min_parallel_items == 7
-        # The config rebuilds an identically-tuned engine (worker processes).
-        clone = ConsistentAnswerEngine(**config)
-        assert clone.batch_workers == 3
-        assert clone.min_parallel_items == 7
-
-    def test_env_override_for_worker_count(self, monkeypatch):
-        from repro.engine.batch import default_worker_count
-
-        monkeypatch.setenv("REPRO_BATCH_WORKERS", "5")
-        assert default_worker_count() == 5
-        # An unconfigured engine picks the env default up lazily.
-        assert ConsistentAnswerEngine().batch_workers == 5
-        # Explicit kwargs beat the environment.
-        assert ConsistentAnswerEngine(batch_workers=2).batch_workers == 2
-
-    def test_env_override_for_min_parallel_items(self, monkeypatch):
-        from repro.engine.batch import default_min_parallel_items
-
-        monkeypatch.setenv("REPRO_MIN_PARALLEL_ITEMS", "9")
-        assert default_min_parallel_items() == 9
-        assert ConsistentAnswerEngine().min_parallel_items == 9
-
-    def test_garbage_env_values_fall_back_to_defaults_with_warning(self, monkeypatch):
-        from repro.engine.batch import _reset_env_warnings, default_worker_count
-
-        _reset_env_warnings()
-        monkeypatch.setenv("REPRO_BATCH_WORKERS", "not-a-number")
-        with pytest.warns(RuntimeWarning, match="REPRO_BATCH_WORKERS"):
-            assert default_worker_count() >= 1
-
-    def test_garbage_min_parallel_env_warns_and_falls_back(self, monkeypatch):
-        from repro.engine.batch import (
-            _MIN_PARALLEL_ITEMS,
-            _reset_env_warnings,
-            default_min_parallel_items,
-        )
-
-        _reset_env_warnings()
-        monkeypatch.setenv("REPRO_MIN_PARALLEL_ITEMS", "3.5")
-        with pytest.warns(RuntimeWarning, match="REPRO_MIN_PARALLEL_ITEMS"):
-            assert default_min_parallel_items() == _MIN_PARALLEL_ITEMS
-
-    def test_malformed_env_warns_exactly_once(self, monkeypatch):
-        import warnings as warnings_module
-
-        from repro.engine.batch import _reset_env_warnings, default_worker_count
-
-        _reset_env_warnings()
-        monkeypatch.setenv("REPRO_BATCH_WORKERS", "eight")
-        with pytest.warns(RuntimeWarning):
-            default_worker_count()
-        # The second read is silent: the warn-once guard holds.
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            assert default_worker_count() >= 1
-
-    def test_valid_env_values_do_not_warn(self, monkeypatch):
-        import warnings as warnings_module
-
-        from repro.engine.batch import (
-            _reset_env_warnings,
-            default_min_parallel_items,
-            default_worker_count,
-        )
-
-        _reset_env_warnings()
-        monkeypatch.setenv("REPRO_BATCH_WORKERS", "5")
-        monkeypatch.setenv("REPRO_MIN_PARALLEL_ITEMS", "9")
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            assert default_worker_count() == 5
-            assert default_min_parallel_items() == 9
-
-    def test_high_threshold_keeps_batches_serial_and_warms_cache(self):
-        engine = ConsistentAnswerEngine(batch_workers=8, min_parallel_items=100)
-        instance = fig1_stock_instance()
-        items = [(stock_sum_query(), instance)] * 6
+class TestDerivedBatchPolicy:
+    def test_small_batch_without_a_pool_runs_serially_and_warms_the_cache(self):
+        engine = ConsistentAnswerEngine()
+        items = [(stock_sum_query(), fig1_stock_instance())] * 3
         results = engine.answer_many(items)
-        # Serial path: the calling engine executed everything itself, so its
-        # own plan cache is warm and later items saw the cached plan.
+        # Below the serial threshold the calling engine runs every item
+        # itself, so later items see the plan the first one compiled.
+        assert [r.plan_cached for r in results] == [False, True, True]
         assert engine.is_cached(stock_sum_query())
-        assert [r.plan_cached for r in results] == [False] + [True] * 5
+
+    def test_two_item_batch_goes_to_a_running_pool_as_chunks(self):
+        from repro.engine import WorkerPool
+
+        engine = ConsistentAnswerEngine()
+        items = [(stock_sum_query(), fig1_stock_instance())] * 2
+        with WorkerPool(workers=2, engine_config=engine.config()) as pool:
+            engine.set_worker_pool(pool)
+            try:
+                results = engine.answer_many(items)
+                chunk_jobs = sum(
+                    w.get("chunk_jobs", 0) for w in pool.stats()["per_worker"]
+                )
+            finally:
+                engine.set_worker_pool(None)
+        assert chunk_jobs > 0
+        expected = compute_range_answer(stock_sum_query(), fig1_stock_instance())
+        assert [r.answer for r in results] == [expected, expected]
+
+    def test_config_holds_only_the_constructor_arguments(self):
+        engine = ConsistentAnswerEngine(backend="sqlite", plan_cache_size=7)
+        assert engine.config() == {
+            "backend": "sqlite",
+            "fallback": "branch_and_bound",
+            "plan_cache_size": 7,
+        }
+        # Worker processes rebuild an identical engine from it.
+        assert ConsistentAnswerEngine(**engine.config()).config() == engine.config()
+
+    def test_a_failing_pool_degrades_to_serial_never_to_a_fork(self, monkeypatch):
+        import repro.engine.batch as batch_module
+        from repro.engine import WorkerPoolError
+
+        class FailingPool:
+            is_running = True
+            size = 2
+
+            def run_chunks(self, chunks):
+                raise WorkerPoolError("every worker crashed")
+
+        def no_fork(*args, **kwargs):
+            pytest.fail("the batch forked while a worker pool was attached")
+
+        monkeypatch.setattr(batch_module, "run_in_fork_pool", no_fork)
+        engine = ConsistentAnswerEngine()
+        engine.set_worker_pool(FailingPool())
+        items = [(stock_sum_query(), fig1_stock_instance())] * 4
+        with pytest.warns(RuntimeWarning, match="degrading to serial"):
+            results = engine.answer_many(items)
+        assert [r.index for r in results] == [0, 1, 2, 3]
+        assert [r.plan_cached for r in results] == [False, True, True, True]
 
 
 # -- process-wide generated-SQL memo -----------------------------------------------------

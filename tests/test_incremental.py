@@ -226,10 +226,13 @@ class TestDeltaShipping:
 
         assert answer == _engine().answer(query, _rebuild(final))
 
-    def test_oversized_delta_reships(self, repro_seed):
+    def test_oversized_delta_reships(self, repro_seed, monkeypatch):
+        import repro.engine.workers as workers_module
+
+        monkeypatch.setattr(workers_module, "_DELTA_MAX_OPS", 1)
         seed = derive_seed(repro_seed, "delta-size")
         instance = _workload(seed)
-        with WorkerPool(workers=1, delta_max_ops=1) as pool:
+        with WorkerPool(workers=1) as pool:
             pool.register_instance("w", instance)
             ops = _point_ops(instance, seed)
             assert len(ops) > 1
@@ -431,8 +434,6 @@ class TestAnswerOptions:
             AnswerOptions(shards=0)
         with pytest.raises(ValueError):
             AnswerOptions(max_workers=0)
-        with pytest.raises(ValueError):
-            AnswerOptions(chunk_size=0)
         with pytest.raises(ValueError):
             AnswerOptions(deadline=0.0)
 

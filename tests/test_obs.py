@@ -17,7 +17,6 @@ import signal
 import sys
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -34,18 +33,9 @@ from repro.obs.admission import (
 from repro.obs.control import MAX_RATE, AdaptiveSamplingController
 from repro.obs.cost import CostTable, add_cost, rollup
 from repro.obs.export import SpanExporter
-from repro.obs.log import (
-    _reset_env_warnings as _reset_log_warnings,
-    parse_log_level,
-    set_log_level,
-)
+from repro.obs.log import set_log_level
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.sample import (
-    DroppedTraceLog,
-    TraceSampler,
-    _reset_env_warnings as _reset_sample_warnings,
-    parse_sample_rate,
-)
+from repro.obs.sample import DroppedTraceLog, TraceSampler
 from repro.obs.trace import (
     current_span,
     current_trace_id,
@@ -745,26 +735,29 @@ class TestSampler:
         sampler = TraceSampler(1)
         assert all(sampler.sample() for _ in range(20))
 
-    def test_parse_sample_rate_accepts_both_spellings(self):
-        assert parse_sample_rate("10") == 10
-        assert parse_sample_rate(" 1/10 ") == 10
-        assert parse_sample_rate(None) == 1
-        assert parse_sample_rate("") == 1
+    @pytest.mark.parametrize("raw", ["10", "1/10"])
+    def test_trace_sample_flag_accepts_both_spellings(self, raw):
+        from repro.serve.__main__ import build_parser, config_from_args
 
-    def test_malformed_rate_warns_once_and_falls_back(self):
-        _reset_sample_warnings()
-        with pytest.warns(RuntimeWarning, match="REPRO_TRACE_SAMPLE"):
-            assert parse_sample_rate("banana") == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warn would raise
-            assert parse_sample_rate("banana") == 1
-        _reset_sample_warnings()
-        with pytest.warns(RuntimeWarning):
-            assert parse_sample_rate("2/10") == 1
-        _reset_sample_warnings()
-        with pytest.warns(RuntimeWarning):
-            assert parse_sample_rate("0") == 1
-        _reset_sample_warnings()
+        config = config_from_args(build_parser().parse_args(["--trace-sample", raw]))
+        assert config.trace_sample == 10
+        assert TraceSampler(config.trace_sample).rate == 10
+
+    def test_unpinned_rate_starts_at_one(self):
+        from repro.serve.__main__ import build_parser, config_from_args
+
+        assert config_from_args(build_parser().parse_args([])).trace_sample is None
+        assert TraceSampler().rate == 1
+
+    @pytest.mark.parametrize("raw", ["banana", "2/10", "0"])
+    def test_malformed_trace_sample_is_a_usage_error(self, raw, capsys):
+        from repro.serve.__main__ import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["--trace-sample", raw])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--trace-sample" in err
 
     def test_decide_precedence_head_error_slow_drop(self):
         sampler = TraceSampler(10)
@@ -1210,6 +1203,20 @@ class TestDebugTopIntegration:
 
         serve_scenario(scenario, trace_sample=1000)
 
+    def test_worker_cpu_reaches_the_cost_table(self):
+        """Under ``--workers`` the serving thread only waits on the pool: the
+        job's CPU is spent in a worker and must count all the same."""
+
+        async def scenario(server, client):
+            for _ in range(30):
+                await client.answer("stock", STOCK_SUM)
+            top = await client.debug_top(sort="count")
+            return top["top"][0]["ewma_cpu_ms"]
+
+        threads = serve_scenario(scenario)
+        pooled = serve_scenario(scenario, worker_processes=2)
+        assert threads / 2 <= pooled <= threads * 2, (threads, pooled)
+
 
 # -- exemplars ---------------------------------------------------------------------------
 
@@ -1267,8 +1274,7 @@ GROUP_QUERY = "(x, SUM(y)) <- Dealers(x, t), Stock(p, t, y)"
 def _mixed_load_scrapes():
     """Drive a mixed load on a fresh server, then scrape both views.
 
-    Module-level so :func:`in_fresh_process` can run it in a spawned
-    interpreter.  Every request is head-sampled (``trace_sample=1``).
+    Every request is head-sampled (``trace_sample=1``).
     """
 
     async def scenario(server, client):
@@ -1302,8 +1308,8 @@ def _mixed_load_scrapes():
 
 
 class TestOneSourcePerNumber:
-    def test_json_and_prometheus_views_agree(self, in_fresh_process):
-        metrics, page = in_fresh_process(_mixed_load_scrapes)
+    def test_json_and_prometheus_views_agree(self):
+        metrics, page = _mixed_load_scrapes()
         families = parse_prometheus(page)
 
         def by_labels(family):
@@ -1381,20 +1387,20 @@ class TestLogLevel:
         events = [json.loads(line)["event"] for line in captured_log.lines]
         assert events == ["loud"]
 
-    def test_parse_log_level_accepts_known_names(self):
-        assert parse_log_level("debug") == logging.DEBUG
-        assert parse_log_level("WARNING") == logging.WARNING
-        assert parse_log_level(None) is None
-        assert parse_log_level("") is None
+    def test_set_log_level_accepts_known_names_in_any_case(self):
+        logger = logging.getLogger("repro.obs")
+        try:
+            set_log_level("WARNING")
+            assert logger.level == logging.WARNING
+            set_log_level("debug")
+            assert logger.level == logging.DEBUG
+        finally:
+            set_log_level("info")
 
-    def test_malformed_level_warns_once(self):
-        _reset_log_warnings()
-        with pytest.warns(RuntimeWarning, match="REPRO_LOG_LEVEL"):
-            assert parse_log_level("loudest") is None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second malformed parse is silent
-            assert parse_log_level("loudest") is None
-        _reset_log_warnings()
+    def test_unknown_level_is_rejected(self):
+        with pytest.raises(ValueError, match="loudest"):
+            set_log_level("loudest")
+        assert logging.getLogger("repro.obs").level == logging.INFO
 
     def test_server_config_sets_the_level(self, captured_log):
         async def scenario(server, client):

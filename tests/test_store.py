@@ -79,9 +79,6 @@ class TestFactLog:
         for record in records:
             log.append(record)
         assert log.records() == records
-        assert list(log.replay(2)) == records[1:]
-        assert log.depth(0) == 3
-        assert log.depth(4) == 0
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(StoreError):

@@ -407,7 +407,7 @@ class TestPoolParity:
                 engine.set_worker_pool(None)
 
     def test_answer_many_through_attached_pool(self, repro_seed):
-        engine = ConsistentAnswerEngine(min_parallel_items=2)
+        engine = ConsistentAnswerEngine()
         instance = _workload(derive_seed(repro_seed, "pool-batch"))
         items = [(query, instance) for query in self.QUERIES]
         serial = engine.answer_many(items, AnswerOptions(max_workers=1))
