@@ -1,22 +1,13 @@
-"""Closed-loop control benchmark: cost-predictive admission + adaptive sampling.
+"""Closed-loop control benchmark: cost-predictive admission.
 
-Two experiments back the control tentpole:
-
-1. **Admission** — one server per policy answers the same mixed flood of
-   *cheap* point queries (the builtin Fig. 1 instance) and *heavy*
-   GROUP BY scans over a generated multi-thousand-fact instance, from a
-   shared closed-loop driver.  Depth-only admission lets the heavies
-   monopolise the engine threads and the cheap traffic queues behind
-   them; cost-predictive admission (``--max-queue-cost-ms``) sheds the
-   heavies once the queued-CPU ledger is full, so the cheap p95 stays
-   flat.  The report carries per-class success rates, shed rates, and
-   latency percentiles for both policies.
-
-2. **Sampling** — the adaptive sampling controller is driven with a fake
-   clock at a steady arrival rate, then hit with a 10x step; the report
-   records how many one-second windows it takes for the traced rate to
-   re-enter the hysteresis band (deterministic: no wall clock, no
-   randomness).
+One server per policy answers the same mixed flood of *cheap* point
+queries (the builtin Fig. 1 instance) and *heavy* GROUP BY scans over a
+generated multi-thousand-fact instance, from a shared closed-loop driver.
+Depth-only admission lets the heavies monopolise the engine threads and
+the cheap traffic queues behind them; cost-predictive admission
+(``--max-queue-cost-ms``) sheds the heavies once the queued-CPU ledger is
+full, so the cheap p95 stays flat.  The report carries per-class success
+rates, shed rates, and latency percentiles for both policies.
 
 Usage::
 
@@ -32,8 +23,6 @@ import json
 import sys
 import time
 
-from repro.obs.control import AdaptiveSamplingController
-from repro.obs.sample import TraceSampler
 from repro.serve.app import ConsistentAnswerServer, ServeConfig
 from repro.serve.client import ServeClient
 from repro.workloads.generators import InconsistentDatabaseGenerator, WorkloadSpec
@@ -177,53 +166,6 @@ async def run_policy(max_queue_cost_ms, cheap, heavy, concurrency, threads):
         await server.stop()
 
 
-def sampling_convergence(
-    target_rps=10.0, base_rps=100, step_rps=1000, max_windows=60
-):
-    """Windows until the traced rate re-enters the band after a 10x step.
-
-    Fake-clocked and arrival-driven, so the result is a deterministic
-    property of the controller, not of the benchmark host.
-    """
-    sampler = TraceSampler(1)
-    clock = [0.0]
-    controller = AdaptiveSamplingController(
-        sampler, target_rps, clock=lambda: clock[0]
-    )
-
-    def one_window(arrivals):
-        for _ in range(arrivals - 1):
-            controller.observe_arrival()
-        clock[0] += 1.0
-        controller.observe_arrival()
-
-    def in_band(arrival_rps):
-        traced = arrival_rps / sampler.rate
-        low = target_rps / (1.0 + controller.hysteresis)
-        high = target_rps * (1.0 + controller.hysteresis)
-        return low <= traced <= high
-
-    for _ in range(10):
-        one_window(base_rps)
-    base_rate = sampler.rate
-    converged_after_s = None
-    for window in range(1, max_windows + 1):
-        one_window(step_rps)
-        if in_band(step_rps):
-            converged_after_s = window
-            break
-    return {
-        "target_rps": target_rps,
-        "base_rps": base_rps,
-        "step_rps": step_rps,
-        "base_rate": base_rate,
-        "stepped_rate": sampler.rate,
-        "converged": converged_after_s is not None,
-        "converged_after_s": converged_after_s,
-        "adjustments": controller.stats()["adjustments"],
-    }
-
-
 async def run_bench(cheap, heavy, concurrency, threads, budget_ms):
     depth_only = await run_policy(None, cheap, heavy, concurrency, threads)
     cost_predictive = await run_policy(
@@ -242,7 +184,6 @@ async def run_bench(cheap, heavy, concurrency, threads, budget_ms):
         },
         "depth_only": depth_only,
         "cost_predictive": cost_predictive,
-        "sampling": sampling_convergence(),
     }
 
 
@@ -280,8 +221,6 @@ def main(argv=None) -> int:
             f"cheap traffic success rate {cheap['success_rate']} under "
             "cost-predictive admission fell below the 0.9 floor"
         )
-    if not result["sampling"]["converged"]:
-        failures.append("adaptive sampling never re-entered the band")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -15,7 +15,7 @@ BY workload, then measures the tentpole of PR 9 from three angles:
   share a single cache entry); a fast wrong answer fails the run;
 * the ``delta`` section times the worker-pool write path: shipping a fact
   delta to a resident instance (``apply_named_delta`` + re-answer) versus
-  a full re-pickle (``register_instance`` + re-answer).
+  a full re-pickle (``ref_for`` + re-answer).
 
 Hashed shard placement is used throughout — that is the incremental
 configuration: block→shard assignment depends only on the block key, so a
@@ -127,7 +127,7 @@ def bench_point_write(instance, shards: int, writes: int) -> dict:
 def bench_delta_shipping(instance, shards: int) -> dict:
     query = stock_total_query("MIN")
     with WorkerPool(workers=1) as pool:
-        pool.register_instance("bench", instance)
+        pool.ref_for(instance, name="bench")
         pool.answer(query, instance, name="bench", shards=shards)  # warm resident
 
         # Delta path: one-op ship, worker fast-forwards the resident.
@@ -144,7 +144,7 @@ def bench_delta_shipping(instance, shards: int) -> dict:
         # Reship path: full re-pickle of the next state, worker reloads.
         reship_state = _point_write(delta_state, 2)
         def reship_round_trip():
-            pool.register_instance("bench", reship_state)
+            pool.ref_for(reship_state, name="bench")
             return pool.answer(query, reship_state, name="bench", shards=shards)
         _, reship_s = _timed(reship_round_trip)
 

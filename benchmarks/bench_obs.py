@@ -8,21 +8,24 @@ with 1/10 head sampling), drives the identical ``mixed`` workload from
 :mod:`bench_serve` through each, and reports per-mode p95s plus the relative
 overhead.
 
-Rounds alternate modes (off/on/sampled, off/on/sampled, ...) and each
-server warms up with a slice of the workload before the measured run, so
-one-off noise (page cache warmup, a GC pause, a noisy CI neighbour) lands
-on every side instead of masquerading as tracing cost.  The report carries
-both the best-of-rounds and the **median-of-rounds** p95 per mode; gates
-(``--check-overhead`` here, ``check_regression.py --kind obs`` in CI)
-compare medians — best-of is a one-sided order statistic whose
-round-to-round variance made the 5% gate flaky.
+The overhead is measured in **paired rounds**.  A round boots one server
+per mode back to back, warms each up with a slice of the workload before
+its measured run, and divides the round's tracing-on (and sampled) p95 by
+the same round's tracing-off p95.  Rounds alternate the mode order
+(off/on/sampled, then sampled/on/off, ...), so neither side of a pair
+always runs first.  The overhead is the **median of the per-round
+ratios**: pairing cancels drift between rounds (a noisy neighbour, a
+frequency change), and the median discards the odd round where a GC pause
+or a scheduler hiccup hit one side only.  ``--check-overhead`` gates on
+that median; ``check_regression.py --kind obs`` in CI compares it, and the
+per-mode median p95, against the committed baseline.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_obs.py \
-        --requests 200 --concurrency 8 --rounds 3 --out BENCH_obs.json
+        --requests 400 --concurrency 8 --rounds 25 --out BENCH_obs.json
 
-    # CI gate: fail when tracing costs more than 5% of median p95
+    # CI gate: fail when tracing costs more than 5% of p95 (paired median)
     PYTHONPATH=src python benchmarks/bench_obs.py --check-overhead 5
 """
 
@@ -69,9 +72,6 @@ async def run_load(
             max_pending=max(64, requests),
             tracing=tracing,
             trace_sample=trace_sample,
-            # Pin the sampler: the adaptive controller would otherwise move
-            # 1/N mid-run and contaminate the per-mode overhead comparison.
-            trace_target_rps=None,
         )
     )
     await server.start()
@@ -86,7 +86,7 @@ async def run_load(
 
 
 def _aggregate(rounds: list) -> dict:
-    """Best-of and median-of rounds (the gate compares the medians)."""
+    """Best-of and median-of rounds for one mode."""
     best = min(rounds, key=lambda r: r["p95_ms"] or float("inf"))
     p95s = [r["p95_ms"] for r in rounds if r["p95_ms"] is not None]
     return {
@@ -104,13 +104,22 @@ def _ratio(numerator: float | None, denominator: float | None) -> float:
     return (numerator or 0.0) / ((denominator or 0.0) or 1e-9)
 
 
+def _paired_ratios(mode_rounds: list, off_rounds: list) -> list:
+    """Each round's p95 over the same round's tracing-off p95."""
+    return [
+        _ratio(mode["p95_ms"], off["p95_ms"])
+        for mode, off in zip(mode_rounds, off_rounds)
+    ]
+
+
 async def run_bench(
     requests: int, concurrency: int, threads: int, rounds: int
 ) -> dict:
-    warmup = max(8, requests // 4)
+    warmup = min(max(8, requests // 4), 100)  # plans warm within one rotation
     by_mode: dict = {key: [] for key, _, _ in MODES}
-    for _ in range(rounds):
-        for key, tracing, sample in MODES:  # interleaved: noise hits all modes
+    for index in range(rounds):
+        order = MODES if index % 2 == 0 else MODES[::-1]
+        for key, tracing, sample in order:
             by_mode[key].append(
                 await run_load(
                     tracing,
@@ -122,14 +131,11 @@ async def run_bench(
                 )
             )
     modes = {key: _aggregate(results) for key, results in by_mode.items()}
-    off, on, sampled = (
-        modes["tracing_off"],
-        modes["tracing_on"],
-        modes["tracing_sampled"],
-    )
-    p95_ratio = _ratio(on["p95_ms"], off["p95_ms"])
-    median_ratio = _ratio(on["p95_median_ms"], off["p95_median_ms"])
-    sampled_median_ratio = _ratio(sampled["p95_median_ms"], off["p95_median_ms"])
+    off, on = modes["tracing_off"], modes["tracing_on"]
+    on_ratios = _paired_ratios(by_mode["tracing_on"], by_mode["tracing_off"])
+    sampled_ratios = _paired_ratios(by_mode["tracing_sampled"], by_mode["tracing_off"])
+    median_ratio = statistics.median(on_ratios)
+    sampled_median_ratio = statistics.median(sampled_ratios)
     return {
         "benchmark": "obs",
         "timestamp": time.time(),
@@ -144,14 +150,14 @@ async def run_bench(
         },
         **modes,
         "overhead": {
-            "p95_ratio": round(p95_ratio, 4),
-            "p95_pct": round((p95_ratio - 1.0) * 100.0, 2),
             "p95_median_ratio": round(median_ratio, 4),
             "p95_median_pct": round((median_ratio - 1.0) * 100.0, 2),
             "sampled_p95_median_ratio": round(sampled_median_ratio, 4),
             "sampled_p95_median_pct": round(
                 (sampled_median_ratio - 1.0) * 100.0, 2
             ),
+            "rounds_p95_ratio": [round(r, 4) for r in on_ratios],
+            "rounds_sampled_p95_ratio": [round(r, 4) for r in sampled_ratios],
             "throughput_pct": round(
                 (1.0 - _ratio(on["throughput_rps"], off["throughput_rps"]))
                 * 100.0,
@@ -163,7 +169,7 @@ async def run_bench(
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=200)
+    parser.add_argument("--requests", type=int, default=400)
     parser.add_argument("--concurrency", type=int, default=8)
     parser.add_argument(
         "--threads", type=int, default=4, help="engine worker threads per server"
@@ -171,9 +177,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--rounds",
         type=int,
-        default=3,
-        help="interleaved off/on/sampled rounds; the gate compares the "
-        "median p95 per mode",
+        default=25,
+        help="paired off/on/sampled rounds, alternating the mode order; the "
+        "gate reads the median of the per-round p95 ratios",
     )
     parser.add_argument("--out", default="BENCH_obs.json")
     parser.add_argument(
@@ -181,8 +187,8 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="PCT",
-        help="exit 1 when the tracing-on (or sampled) median p95 exceeds "
-        "the tracing-off median p95 by more than PCT percent",
+        help="exit 1 when the median per-round p95 ratio of tracing on (or "
+        "sampled) over tracing off exceeds 1 + PCT/100",
     )
     args = parser.parse_args(argv)
 
@@ -206,15 +212,15 @@ def main(argv=None) -> int:
             overhead = result["overhead"][pct_key]
             if overhead > args.check_overhead:
                 print(
-                    f"FAIL: {label} median p95 overhead {overhead}% exceeds "
-                    f"the {args.check_overhead}% budget",
+                    f"FAIL: {label} median paired p95 overhead {overhead}% "
+                    f"exceeds the {args.check_overhead}% budget",
                     file=sys.stderr,
                 )
                 failed = True
             else:
                 print(
-                    f"{label} median p95 overhead {overhead}% within the "
-                    f"{args.check_overhead}% budget"
+                    f"{label} median paired p95 overhead {overhead}% within "
+                    f"the {args.check_overhead}% budget"
                 )
         if failed:
             return 1

@@ -15,18 +15,16 @@ tight enough to catch a real perf cliff):
   the adversarial summary-state matrix (``bench_scenarios.py`` emits the
   ``shard`` report schema on purpose, so one comparator serves both);
 * ``obs``    — **median-of-rounds** p95 with tracing off, on, and sampled
-  (1/10), plus the on/off median ratio (the tracing overhead —
-  dimensionless, hardware-portable).  Medians, not best-of: best-of is a
-  one-sided order statistic whose round-to-round variance made the gate
-  flaky.
+  (1/10), plus the median of the per-round paired on/off p95 ratios (the
+  tracing overhead — dimensionless, hardware-portable).  Medians, not
+  best-of: best-of is a one-sided order statistic whose round-to-round
+  variance made the gate flaky.
 * ``incremental`` — the summary-cache speedup of a point-write re-answer
   over a cache-cleared recompute (dimensionless), plus the absolute cached
   re-answer latency (``bench_incremental.py``).
 * ``control`` — cheap-traffic success rate and p95 under cost-predictive
-  admission (the protection the gate exists to provide), plus the windows
-  the adaptive sampler needs to re-converge after a 10x arrival step
-  (``bench_control.py``; the rate and window count are dimensionless /
-  fake-clocked, so they are hardware-portable).
+  admission (the protection the gate exists to provide;
+  ``bench_control.py``).
 
 Metrics missing or malformed on either side are reported and skipped
 (with a warning) rather than failing, so the gate survives schema
@@ -66,9 +64,7 @@ OBS_METRICS: List[Metric] = [
 
 CONTROL_METRICS: List[Metric] = [
     # The point of cost-predictive admission is that cheap traffic keeps
-    # succeeding (and stays fast) while the heavies are shed; the sampler
-    # metric is its fake-clocked convergence time, a pure controller
-    # property.
+    # succeeding (and stays fast) while the heavies are shed.
     (
         "cost_predictive.cheap.success_rate",
         ["cost_predictive", "cheap", "success_rate"],
@@ -77,11 +73,6 @@ CONTROL_METRICS: List[Metric] = [
     (
         "cost_predictive.cheap.p95_ms",
         ["cost_predictive", "cheap", "p95_ms"],
-        "lower",
-    ),
-    (
-        "sampling.converged_after_s",
-        ["sampling", "converged_after_s"],
         "lower",
     ),
 ]

@@ -598,8 +598,9 @@ class ShardPlanner:
         ``"balanced"`` (default) assigns components to shards greedily by
         descending weight onto the currently lightest shard;  ``"hashed"``
         assigns each component by a stable hash of its smallest block key —
-        cheaper, order-independent, and the natural choice when shards map
-        to long-lived workers that must see a stable assignment.
+        cheaper, order-independent, and the natural choice for incremental
+        answering: a point write leaves the other shards' contents, and so
+        their summary-cache entries, intact.
     """
 
     def __init__(self, strategy: str = STRATEGY_BALANCED) -> None:
@@ -1200,9 +1201,9 @@ def execute_sharded(
         computed: Optional[List[object]] = None
         pool = getattr(engine, "worker_pool", None)
         if pool is not None and pool.is_running:
-            # Each miss goes to its stably assigned worker, which rebuilds
-            # the partition from its resident instance: only shard indices
-            # cross the pipe.  A pool that exhausts its crash retries
+            # The misses split over the least busy workers, each of which
+            # rebuilds the partition from its resident instance: only shard
+            # indices cross the pipe.  A pool that exhausts its crash retries
             # degrades to the in-process path instead of losing the request.
             from repro.engine.workers import WorkerPoolError
 

@@ -13,14 +13,14 @@ executor-pool shape every production database serving stack uses:
   instance a single time into the pool's disk spool and hands out a thin
   :class:`InstanceRef` — N workers read one file instead of receiving N
   pickles, job payloads never carry the database, and workers keep the
-  loaded instance resident keyed by (name, version, schema fingerprint)
-  until it is invalidated or replaced;
+  loaded instance resident keyed by (key, version) until it is
+  invalidated or replaced; a write ships as a fact delta that resident
+  copies fast-forward through (:meth:`WorkerPool.apply_named_delta`);
 * three job kinds cover the engine's CPU-bound surface — single answers
   (closed or GROUP BY), ``answer_many`` chunks, and summarisation of the
-  shards the caller's summary cache missed, with a **stable hashed
-  shard→worker assignment** (:func:`shard_worker_of`): a given shard of a
-  given schema always lands on the same worker, so its resident instance
-  and plans stay warm across requests and survive instance re-registration;
+  shards the caller's summary cache missed; every job goes to the worker
+  with the fewest jobs in flight, so a worker wedged on a slow job gets no
+  new work while another is idle;
 * workers that crash are respawned and their in-flight jobs are retried
   once on the fresh process; a job that crashes its worker twice fails with
   a :class:`WorkerCrashError` instead of hanging the caller.
@@ -33,10 +33,13 @@ summary-cache misses, and ``repro.serve`` exposes the whole thing as the
 opt-in ``--workers N`` mode.
 
 Transport is one job pipe and one result pipe per worker: per-worker job
-pipes are what make the stable shard assignment possible, and per-worker
-result pipes mean a killed worker can never corrupt a queue shared with its
-siblings — the collector thread multiplexes over every result pipe *and*
-every process sentinel, so a crash is observed the moment it happens.
+pipes let the parent pick each job's worker and count its queue depth, and
+per-worker result pipes mean a killed worker can never corrupt a queue
+shared with its siblings — the collector thread multiplexes over every
+result pipe *and* every process sentinel, so a crash is observed the moment
+it happens.  A worker exits on a ``None`` job (:meth:`WorkerPool.shutdown`)
+or at EOF on its job pipe, which is what ends it when the pool's process
+dies without a shutdown.
 """
 
 from __future__ import annotations
@@ -102,17 +105,6 @@ class WorkerCrashError(WorkerPoolError):
     """A job crashed its worker and exhausted its retry budget."""
 
 
-def shard_worker_of(fingerprint: str, shards: int, shard_index: int, workers: int) -> int:
-    """The stable worker index owning one shard of one schema.
-
-    Hashing the *schema fingerprint* (not the registration key or the
-    instance object) means the assignment survives instance re-registration:
-    replacing a database under the same schema re-routes every shard to the
-    worker that already holds its caches.
-    """
-    return stable_hash_64(f"{fingerprint}:{shards}:{shard_index}") % max(1, workers)
-
-
 # -- instance references ----------------------------------------------------------------
 
 
@@ -121,17 +113,16 @@ class InstanceRef:
     """A pickled-once handle to a database, shippable to every worker.
 
     ``key`` identifies the logical instance (registration name or an
-    auto-generated token), ``version`` increments on replacement or observed
-    mutation, and ``fingerprint`` is the schema fingerprint — the identity
-    the stable shard assignment hashes.  The pickle itself lives in the
-    pool's disk spool (``spool_path``): job payloads carry only this thin
-    record, a worker reads the file once per version on a residency miss,
-    and a respawned worker can always re-load from disk.
+    auto-generated token) and ``version`` increments on replacement or
+    observed mutation.  The pickle itself lives in the pool's disk spool
+    (``spool_path``), written by :meth:`WorkerPool.ref_for`: job payloads
+    carry only this thin record, a worker reads the file once per version
+    on a residency miss, and a respawned worker can always re-load from
+    disk.
     """
 
     key: str
     version: int
-    fingerprint: str
     size: int
     spool_path: str
     #: The instance's mutation token at pickling time; guards parent-side
@@ -147,17 +138,9 @@ class InstanceRef:
     delta: Optional[Tuple[Tuple[int, Tuple[Tuple[str, object], ...]], ...]] = None
 
     def load(self) -> DatabaseInstance:
-        """Unpickle the spooled instance and replay any delta chain.
-
-        The spool file is either a raw pickled :class:`DatabaseInstance`
-        (written by the pool) or a :class:`~repro.store.StoreSnapshot`
-        (the durable store's snapshot file, adopted at boot so the two
-        on-disk formats are one); the snapshot wrapper is unwrapped here.
-        """
+        """Unpickle the spooled instance and replay any delta chain."""
         with open(self.spool_path, "rb") as handle:
-            payload = pickle.load(handle)
-        unwrapped = getattr(payload, "instance", None)
-        instance = unwrapped if isinstance(unwrapped, DatabaseInstance) else payload
+            instance = pickle.load(handle)
         for base_version, ops in self.delta or ():
             if instance.data_version != base_version:
                 raise WorkerPoolError(
@@ -256,8 +239,18 @@ def _worker_stats(
     }
 
 
-def _worker_main(worker_id: int, engine_config: dict, job_conn, result_conn) -> None:
-    """Worker entry point: serve jobs forever on a persistent engine."""
+def _worker_main(
+    worker_id: int, engine_config: dict, job_conn, result_conn, parent_ends
+) -> None:
+    """Worker entry point: serve jobs until the job pipe closes.
+
+    ``parent_ends`` are the pool-side pipe ends a forked worker inherited:
+    its own and those of every sibling started before it.  They are closed
+    first, or this worker would hold its own job pipe open and never see
+    EOF after the pool's process dies.
+    """
+    for conn in parent_ends:
+        conn.close()
     from repro.engine.batch import _answer_one
     from repro.engine.engine import AnswerOptions, ConsistentAnswerEngine
     from repro.engine.sharding import (
@@ -441,9 +434,20 @@ class _PendingJob:
 
 
 class _WorkerHandle:
-    """One worker process plus its pipes and parent-side counters."""
+    """One worker process plus its pipes and parent-side counters.
 
-    def __init__(self, index: int, generation: int, context, engine_config: dict) -> None:
+    ``siblings`` are the running handles whose pipe ends a forked child
+    inherits; a spawned child starts with only the ends it is handed.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        generation: int,
+        context,
+        engine_config: dict,
+        siblings: Sequence["_WorkerHandle"] = (),
+    ) -> None:
         self.index = index
         self.generation = generation
         job_recv, job_send = context.Pipe(duplex=False)
@@ -452,9 +456,14 @@ class _WorkerHandle:
         self.result_conn = result_recv
         self.send_lock = threading.Lock()
         self.stats: Dict[str, object] = {}
+        parent_ends = []
+        if context.get_start_method() == "fork":
+            parent_ends = [job_send, result_recv]
+            for sibling in siblings:
+                parent_ends += [sibling.job_conn, sibling.result_conn]
         self.process = context.Process(
             target=_worker_main,
-            args=(index, engine_config, job_recv, result_send),
+            args=(index, engine_config, job_recv, result_send, parent_ends),
             daemon=True,
             name=f"repro-worker-{index}",
         )
@@ -527,9 +536,6 @@ class WorkerPool:
         self._identity_refs: Dict[int, Tuple[weakref.ref, InstanceRef]] = {}
         self._named_refs: Dict[str, Tuple[weakref.ref, InstanceRef]] = {}
         self._retired_spools: Dict[str, str] = {}
-        # Spool files the pool does not own (the durable store's snapshot
-        # files adopted at boot): never unlinked by the retirement schedule.
-        self._external_spools: set = set()
         self._auto_keys = itertools.count(1)
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -543,12 +549,18 @@ class WorkerPool:
                 return self
             if self._spool_dir is None:  # refs may have been built pre-start
                 self._spool_dir = tempfile.mkdtemp(prefix="repro-pool-")
-            self._handles = [
-                _WorkerHandle(
-                    index, next(self._generations), self._context, self._engine_config
+            handles: List[_WorkerHandle] = []
+            for index in range(self._size):
+                handles.append(
+                    _WorkerHandle(
+                        index,
+                        next(self._generations),
+                        self._context,
+                        self._engine_config,
+                        siblings=handles,
+                    )
                 )
-                for index in range(self._size)
-            ]
+            self._handles = handles
             self._started = True
             self._collector = threading.Thread(
                 target=self._collect_loop, name="repro-pool-collector", daemon=True
@@ -641,8 +653,6 @@ class WorkerPool:
         immediately replaced one, so an in-flight job holding the previous
         ref can still load it; disk usage stays at ≤2 pickles per key.
         """
-        from repro.engine.plan import schema_fingerprint
-
         if self._closed:
             raise WorkerPoolError("worker pool is shut down")
         if self._spool_dir is None:
@@ -651,11 +661,7 @@ class WorkerPool:
         with open(path, "wb") as handle:
             pickle.dump(instance, handle, protocol=pickle.HIGHEST_PROTOCOL)
         grandparent = self._retired_spools.pop(key, None)
-        if (
-            grandparent is not None
-            and grandparent != path
-            and grandparent not in self._external_spools
-        ):
+        if grandparent is not None and grandparent != path:
             try:
                 os.unlink(grandparent)
             except OSError:
@@ -665,7 +671,6 @@ class WorkerPool:
         return InstanceRef(
             key=key,
             version=version,
-            fingerprint=schema_fingerprint(instance.schema),
             size=len(instance),
             spool_path=path,
             data_version=instance.data_version,
@@ -703,13 +708,14 @@ class WorkerPool:
     def ref_for(self, instance: DatabaseInstance, name: Optional[str] = None) -> InstanceRef:
         """The pickled-once handle for ``instance`` (registering on first use).
 
-        Anonymous instances are keyed by object identity (the ref dies with
-        the object) but reuse the named ref when the object is registered;
-        named instances are keyed by ``name`` so a replacement database
-        re-uses the key with a bumped version — which is what lets the
-        stable shard assignment survive re-registration.  A mutated
-        instance (``add_fact`` strictly grows it) is re-pickled under the
-        next version, so workers can never serve a stale copy.
+        This is the one way an instance enters the pool's spool.  Anonymous
+        instances are keyed by object identity (the ref dies with the
+        object) but reuse the named ref when the object is registered;
+        named instances are keyed by ``name``, so a replacement database
+        re-uses the key with a bumped version and workers drop the old
+        resident copy.  A mutated instance (its ``data_version`` moved) is
+        re-pickled under the next version, so workers can never serve a
+        stale copy.
 
         Lock discipline: lookups only touch ``_ref_lock`` (briefly), while
         the pickle + disk write of a (re-)registration runs under
@@ -749,21 +755,6 @@ class WorkerPool:
                 self._store_identity(instance, ref)
             return ref
 
-    def register_instance(
-        self, name: str, instance: DatabaseInstance
-    ) -> InstanceRef:
-        """Explicitly (re-)register a named instance, bumping its version."""
-        with self._spool_lock:
-            with self._ref_lock:
-                entry = self._named_refs.get(name)
-                old = entry[1] if entry is not None else None
-                version = old.version + 1 if old is not None else 1
-            ref = self._build_ref(name, version, instance, replaces=old)
-            with self._ref_lock:
-                self._named_refs[name] = (weakref.ref(instance), ref)
-                self._store_identity(instance, ref)
-        return ref
-
     def apply_named_delta(
         self,
         name: str,
@@ -779,7 +770,7 @@ class WorkerPool:
         accumulated chain stays within ``_DELTA_MAX_OPS``, the new ref
         shares the old spool file and workers holding the previous version
         resident fast-forward in place; otherwise the method falls back to
-        a full re-pickle via :meth:`register_instance`.
+        a full re-pickle via :meth:`ref_for`.
         """
         ops = tuple((kind, fact) for kind, fact in ops)
         with self._ref_lock:
@@ -790,20 +781,14 @@ class WorkerPool:
             # reached the pool — keep it rather than regress the named ref.
             return old
         chained_ops = sum(len(segment) for _base, segment in (old.delta or ())) if old else 0
-        with self._ref_lock:
-            # An *aliased* external spool (adopt fell back to the store's
-            # live file) is not immutable — compaction rewrites it in place,
-            # which would shift the delta chain's base out from under it.
-            aliased = old is not None and old.spool_path in self._external_spools
         if (
             old is None
             or not ops
-            or aliased
             or old.data_version + len(ops) != instance.data_version
             or chained_ops + len(ops) > _DELTA_MAX_OPS
         ):
             self._delta_reships += 1
-            return self.register_instance(name, instance)
+            return self.ref_for(instance, name=name)
         ref = dataclass_replace(
             old,
             version=old.version + 1,
@@ -815,64 +800,6 @@ class WorkerPool:
             self._named_refs[name] = (weakref.ref(instance), ref)
             self._store_identity(instance, ref)
         self._delta_ships += 1
-        return ref
-
-    def adopt_named_ref(
-        self,
-        name: str,
-        instance: DatabaseInstance,
-        spool_path: str,
-        version: int = 1,
-    ) -> InstanceRef:
-        """Register a named instance whose pickle already exists on disk.
-
-        The serving layer's durable store writes snapshot files the ref
-        loader can read directly (:meth:`InstanceRef.load` unwraps them),
-        so boot hands the pool the store's own bytes instead of
-        re-pickling an instance that was just unpickled from them.  The
-        ref points at a **hard link** of the store file inside the pool's
-        own spool (falling back to a byte copy across filesystems): pool
-        spool entries must be immutable per version, and the store's
-        compaction atomically *replaces* its snapshot path — a ref aliased
-        to the live path could serve post-mutation bytes under the old
-        version.  Only if neither link nor copy is possible does the ref
-        alias the store's file directly, in which case it is excluded from
-        spool-retirement deletes.  A later mutation re-pickles into the
-        pool's spool under ``version + 1`` via the ordinary
-        :meth:`ref_for` path.
-        """
-        from repro.engine.plan import schema_fingerprint
-
-        if not os.path.exists(spool_path):
-            raise WorkerPoolError(f"cannot adopt missing spool file {spool_path!r}")
-        with self._spool_lock:
-            if self._spool_dir is None:
-                self._spool_dir = tempfile.mkdtemp(prefix="repro-pool-")
-            adopted = os.path.join(
-                self._spool_dir,
-                f"adopted-{stable_hash_64(name):016x}-{version}.pkl",
-            )
-            if not os.path.exists(adopted):
-                try:
-                    os.link(spool_path, adopted)
-                except OSError:
-                    try:
-                        shutil.copy2(spool_path, adopted)
-                    except OSError:
-                        adopted = spool_path  # alias the store's live file
-        ref = InstanceRef(
-            key=name,
-            version=version,
-            fingerprint=schema_fingerprint(instance.schema),
-            size=len(instance),
-            spool_path=adopted,
-            data_version=instance.data_version,
-        )
-        with self._ref_lock:
-            if adopted == spool_path:
-                self._external_spools.add(spool_path)
-            self._named_refs[name] = (weakref.ref(instance), ref)
-            self._store_identity(instance, ref)
         return ref
 
     def invalidate(self, name: str) -> None:
@@ -1148,51 +1075,36 @@ class WorkerPool:
         name: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> List[object]:
-        """Summarise shards ``indices`` of ``instance``, each on its stably
-        assigned worker; summaries come back in the order of ``indices``.
+        """Summarise shards ``indices`` of ``instance`` on the pool; the
+        summaries come back in the order of ``indices``.
 
-        Workers recompute the (deterministic, worker-side cached) shard plan
-        from the resident instance, so shard contents never cross the pipe —
-        only the shard *indices* each worker owns.  Workers keep no summary
-        cache: the sharded executor sends only the shards its own cache
-        missed.
+        The indices split into at most one run per worker, and each run
+        goes to the least busy worker, as :meth:`run_chunks` routes
+        ``answer_many`` chunks.  Any worker can take any shard: it
+        recomputes the (deterministic, worker-side cached) shard plan from
+        its resident instance, so only shard *indices* cross the pipe.
+        Workers keep no summary cache: the sharded executor sends only the
+        shards its own cache missed.
         """
         self._ensure_running()
         ref = self.ref_for(instance, name=name)
-        assignment: Dict[int, List[int]] = {}
-        for shard_index in indices:
-            worker = shard_worker_of(ref.fingerprint, shards, shard_index, self._size)
-            assignment.setdefault(worker, []).append(shard_index)
-        with obs_span(
-            "pool.shards", shards=shards, workers=len(assignment)
-        ) as dispatch:
-            jobs = [
-                (
-                    owned,
-                    self._submit(
-                        worker,
-                        "shards",
-                        (ref, query, shards, strategy, owned, binding, grouped),
-                        parent_span=dispatch,
-                    ),
+        indices = list(indices)
+        step = max(1, -(-len(indices) // self._size))  # ceil: at most `size` runs
+        runs = [indices[i : i + step] for i in range(0, len(indices), step)]
+        with obs_span("pool.shards", shards=shards, jobs=len(runs)) as dispatch:
+            futures = [
+                self._submit(
+                    self._least_busy_worker(),
+                    "shards",
+                    (ref, query, shards, strategy, run, binding, grouped),
+                    parent_span=dispatch,
                 )
-                for worker, owned in sorted(assignment.items())
+                for run in runs
             ]
-            by_index: Dict[int, object] = {}
-            for owned, future in jobs:
-                by_index.update(zip(owned, self._result(future, timeout)))
-            return [by_index[index] for index in indices]
-
-    def shard_assignment(self, instance: DatabaseInstance, shards: int) -> List[int]:
-        """The worker index owning each shard index (stable across requests,
-        pools of the same size, and instance re-registration)."""
-        from repro.engine.plan import schema_fingerprint
-
-        fingerprint = schema_fingerprint(instance.schema)
-        return [
-            shard_worker_of(fingerprint, shards, index, self._size)
-            for index in range(shards)
-        ]
+            summaries: List[object] = []
+            for future in futures:
+                summaries.extend(self._result(future, timeout))
+            return summaries
 
     @staticmethod
     def _result(future: _JobFuture, timeout: Optional[float]):
@@ -1212,8 +1124,8 @@ class WorkerPool:
 
         "Hit" means a worker reused (or delta-fast-forwarded) a resident
         instance; "miss" means it paid a full spool unpickle.  Bytes are the
-        spool files on disk — exact, not sampled: one ``stat`` per file
-        beats walking unpickled instances.
+        pickles :meth:`ref_for` wrote into the spool directory — exact, not
+        sampled: one ``stat`` per file beats walking unpickled instances.
         """
         with self._lock:
             if self._closed or not self._started:

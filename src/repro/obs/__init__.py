@@ -19,8 +19,8 @@ depend on it without cycles:
 * :mod:`repro.obs.caches` — the one LRU ledger (``PlanCache``) and the
   common report schema behind ``GET /debug/caches`` and, built per scrape,
   the ``repro_cache_*`` Prometheus families.
-* :mod:`repro.obs.sample` — head 1-in-N sampling with a tail-based keep
-  rule (slow/error traces are always retained).
+* :mod:`repro.obs.sample` — head 1-in-N sampling at a fixed rate with a
+  tail-based keep rule (slow/error traces are always retained).
 * :mod:`repro.obs.export` — OTLP/JSON span export with a bounded queue and
   a background flush thread (NDJSON file or HTTP POST sinks).
 * :mod:`repro.obs.cost` — per-span domain-counter rollup and engine CPU
@@ -43,7 +43,6 @@ from repro.obs.caches import (
     label_instance,
     register_cache,
 )
-from repro.obs.control import AdaptiveSamplingController
 from repro.obs.cost import CostTable, add_cost, rollup
 from repro.obs.export import SpanExporter, encode_traces
 from repro.obs.log import StructuredLogger, get_logger, set_log_level
@@ -76,7 +75,6 @@ __all__ = [
     "TRACE_HEADER",
     "CACHE_REGISTRY",
     "REGISTRY",
-    "AdaptiveSamplingController",
     "AdmissionDecision",
     "CacheStatsRegistry",
     "CostPredictor",

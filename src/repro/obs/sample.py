@@ -15,9 +15,9 @@ splits the decision in two:
   rescued when they turn out slow (over the server's ``slow_query_ms``) or
   erroneous (5xx) — exactly the traces worth keeping at 100%.
 
-The server pins the rate with ``--trace-sample N`` (or ``1/N``; anything
-else is a usage error); otherwise it starts at 1, trace everything, and the
-adaptive controller (:mod:`repro.obs.control`) moves it.
+The rate is fixed for the sampler's lifetime: the server sets it with
+``--trace-sample N`` (or ``1/N``; anything else is a usage error) and
+otherwise traces every request.
 
 :class:`DroppedTraceLog` remembers recently sampled-out trace ids so
 ``GET /traces/{id}`` can tell "sampled out" apart from "evicted".
@@ -56,27 +56,16 @@ class TraceSampler:
 
     @property
     def rate(self) -> int:
-        with self._lock:
-            return self._rate
-
-    def set_rate(self, rate: int) -> None:
-        """Retarget the rotation to 1-in-``rate`` (adaptive control hook).
-
-        Takes effect from the next head decision; in-flight traces keep the
-        decision they were admitted under.
-        """
-        with self._lock:
-            self._rate = max(1, int(rate))
+        return self._rate
 
     def sample(self) -> bool:
         """The head decision for the next trace (True = provisionally keep)."""
+        if self._rate <= 1:
+            return True
         with self._lock:
-            rate = self._rate
-            if rate <= 1:
-                return True
             index = self._counter
             self._counter += 1
-        return index % rate == 0
+        return index % self._rate == 0
 
     def decide(
         self,

@@ -136,16 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=sample_rate,
         default=None,
         metavar="N|1/N",
-        help="pin head-sampling to 1 in N traces and disable the adaptive "
-        "controller (slow and 5xx traces are always kept); default: adaptive",
-    )
-    parser.add_argument(
-        "--trace-target-rps",
-        type=float,
-        default=defaults.trace_target_rps,
-        metavar="RPS",
-        help="adaptive sampling target: adjust 1/N so roughly RPS traces/s "
-        "are kept (0 disables the controller; ignored with --trace-sample)",
+        help="head-sample 1 in N traces, a fixed rate (slow and 5xx traces "
+        "are always kept); default: trace every request",
     )
     parser.add_argument(
         "--summary-cache-size",
@@ -203,9 +195,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         trace_buffer=max(1, args.trace_buffer),
         slow_query_ms=args.slow_query_ms,
         trace_sample=args.trace_sample,
-        trace_target_rps=(
-            args.trace_target_rps if args.trace_target_rps > 0 else None
-        ),
         summary_cache_size=max(0, args.summary_cache_size),
         max_queue_cost_ms=(
             args.max_queue_cost_ms

@@ -13,10 +13,10 @@ Architecture (stdlib only — no third-party web framework):
   and the thread pool merely *waits* on it: CPU-bound plan execution
   happens on persistent worker processes (sidestepping the GIL), instances
   transfer to the workers once, sharded instances send the shards their
-  summary cache missed to the pool with stable shard→worker assignment
-  (the cache itself stays in this process), and ``/answer_many``
-  parallelises across the pool by default; threads remain the execution
-  fallback when the pool is off or fails;
+  summary cache missed to the least busy workers (the cache itself stays
+  in this process), and ``/answer_many`` parallelises across the pool by
+  default; threads remain the execution fallback when the pool is off or
+  fails;
 * admission control is a counting gate sized ``workers + max_pending``:
   when it is full the server answers ``503`` *immediately* instead of
   queueing unboundedly (load-shedding beats collapse);
@@ -91,7 +91,6 @@ from repro.obs import (
     CACHE_REGISTRY,
     REGISTRY,
     TRACE_HEADER,
-    AdaptiveSamplingController,
     CostTable,
     DroppedTraceLog,
     EventLoopLagProbe,
@@ -334,16 +333,10 @@ class ServeConfig:
     #: Requests at or above this wall time (ms) log their full span tree;
     #: ``None`` disables the slow-query log, ``0`` logs every request.
     slow_query_ms: Optional[float] = None
-    #: Head-sample 1 in N traces.  ``None`` (the default) starts at 1 and
-    #: lets the adaptive controller adjust the rate; an explicit integer
-    #: *pins* the rate and disables the controller.  Slow and 5xx traces
-    #: are always retained (tail keep), whatever the rate.
+    #: Head-sample 1 in N traces, a fixed rate.  ``None`` (the default)
+    #: traces every request.  Slow and 5xx traces are always retained
+    #: (tail keep), whatever the rate.
     trace_sample: Optional[int] = None
-    #: Traced-requests-per-second budget for the adaptive sampling
-    #: controller: the head rate 1/N tracks the observed arrival rate so
-    #: roughly this many traces per second are head-kept.  ``None`` or
-    #: ``0`` disables adaptation (static rate only).
-    trace_target_rps: Optional[float] = 100.0
     #: Entry capacity of the process-global shard-summary cache.
     summary_cache_size: int = 512
     #: Cost-predictive admission: shed (503, ``reason="predicted_cost"``)
@@ -466,15 +459,6 @@ class ConsistentAnswerServer:
             set_log_level(self.config.log_level)
         self.traces = TraceBuffer(max(1, self.config.trace_buffer))
         self.sampler = TraceSampler(self.config.trace_sample)
-        # Adaptive sampling is the default; an explicit --trace-sample pins
-        # the static rate and a zero/None target disables the controller.
-        self.sampling_controller: Optional[AdaptiveSamplingController] = (
-            AdaptiveSamplingController(self.sampler, self.config.trace_target_rps)
-            if self.config.trace_sample is None
-            and self.config.trace_target_rps
-            and self.config.tracing
-            else None
-        )
         self.sampled_out = DroppedTraceLog()
         self.cost_table = CostTable()
         self.predictor = CostPredictor(self.cost_table)
@@ -555,7 +539,6 @@ class ConsistentAnswerServer:
                 )
                 self._pool.start()
             self.engine.set_worker_pool(self._pool)
-            self._adopt_store_spools()
         if self.exporter is not None:
             self.exporter.start()
         self._server = await asyncio.start_server(
@@ -568,26 +551,6 @@ class ConsistentAnswerServer:
         sock = self._server.sockets[0]
         self._address = sock.getsockname()[:2]
         return self._address
-
-    def _adopt_store_spools(self) -> None:
-        """Point the worker pool's instance refs at the store's snapshots.
-
-        The boot reload compacts dirty logs, so every loaded instance's
-        snapshot file is current — the pool serves its bytes (via a hard
-        link into the pool spool) as the pickled-once instance transfer
-        instead of re-pickling what is already on disk (the two on-disk
-        formats are one).  Instances that mutate later re-pickle into the
-        pool's own spool under a bumped version; the store-owned files are
-        never deleted by the pool.
-        """
-        if self._pool is None or self.store is None:
-            return
-        for entry in self.registry.entries():
-            path = self.store.snapshot_path(entry.name)
-            if path is not None:
-                self._pool.adopt_named_ref(
-                    entry.name, entry.instance, path, version=entry.version
-                )
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -813,8 +776,6 @@ class ConsistentAnswerServer:
         """
         incoming = request.headers.get(_TRACE_HEADER_LOWER) or None
         trace_id = incoming or new_trace_id()
-        if self.sampling_controller is not None:
-            self.sampling_controller.observe_arrival()
         head = self.sampler.sample()
         with start_trace(
             "http.request",
@@ -1178,26 +1139,31 @@ class ConsistentAnswerServer:
     ):
         """Run one engine-bound request on a serving thread.
 
-        In process mode, unsharded execution goes to a worker's persistent
-        engine (the instance ships once, keyed by registry name so the
-        shard assignment survives re-registration); sharded execution stays
-        on the parent engine, whose sharded executor looks every shard up
-        in this process's summary cache and sends only the misses to the
-        pool, with stable assignment.  ``binding`` of ``None`` with free
-        variables means GROUP BY (both here and on the worker).
+        In process mode, unsharded execution goes to the least busy
+        worker's persistent engine (the instance ships once, keyed by
+        registry name, so a replacement bumps the version of the same
+        key); sharded execution stays on the parent engine, whose sharded
+        executor looks every shard up in this process's summary cache and
+        sends only the misses to the pool.  ``binding`` of ``None`` with
+        free variables means GROUP BY (both here and on the worker).
         """
         pool = self._pool
-        if pool is not None and pool.is_running and shards is None:
-            # The asyncio layer 504s the client at the request timeout; this
-            # backstop bounds the *thread*, so a wedged pool job cannot hold
-            # an executor thread and its admission slot forever.
-            return pool.answer(
-                query,
-                entry.instance,
-                binding,
-                name=entry.name,
-                timeout=self.config.request_timeout_s * 2 + 5,
-            )
+        if pool is not None and pool.is_running:
+            if shards is None:
+                # The asyncio layer 504s the client at the request timeout;
+                # this backstop bounds the *thread*, so a wedged pool job
+                # cannot hold an executor thread and its admission slot.
+                return pool.answer(
+                    query,
+                    entry.instance,
+                    binding,
+                    name=entry.name,
+                    timeout=self.config.request_timeout_s * 2 + 5,
+                )
+            # The sharded executor ships its misses without a registry name;
+            # priming the named ref makes them share it, so the next write
+            # ships a delta over it instead of pickling a second copy.
+            pool.ref_for(entry.instance, name=entry.name)
         options = AnswerOptions(shards=shards)
         if binding is None and query.free_variables:
             return self.engine.answer_group_by(query, entry.instance, options)
@@ -1506,14 +1472,7 @@ class ConsistentAnswerServer:
                     else {"enabled": False}
                 ),
                 "instances": self.registry.names(),
-                "sampling": {
-                    **self.sampler.stats(),
-                    **(
-                        self.sampling_controller.stats()
-                        if self.sampling_controller is not None
-                        else {"mode": "static"}
-                    ),
-                },
+                "sampling": self.sampler.stats(),
                 "otlp_export": (
                     self.exporter.stats()
                     if self.exporter is not None

@@ -266,8 +266,8 @@ class InstanceRegistry:
         """Reload every persisted instance from the attached store (boot).
 
         Dirty logs are compacted by the store during the reload, so every
-        loaded instance's snapshot file is current afterwards (the worker
-        pool can adopt it as a shared spool).  Returns the loaded names.
+        loaded instance's snapshot file is current afterwards.  Returns the
+        loaded names.
         """
         if self._store is None:
             return []

@@ -28,10 +28,8 @@ Durability contract:
   at *any* point mid-drop either replays the drop record or finds no
   marker, never a resurrected instance.
 
-The snapshot file doubles as the worker pool's spool format: a pool-side
-:class:`~repro.engine.workers.InstanceRef` can point straight at
-``snapshot.pkl`` (the ref loader unwraps :class:`StoreSnapshot`), so boot
-never re-pickles an instance the store already has on disk.
+Only the store reads its snapshot files.  The worker pool keeps its own
+spool: it pickles an instance on that instance's first pooled request.
 """
 
 from __future__ import annotations
@@ -67,13 +65,11 @@ _SNAPSHOT = "snapshot.pkl"
 _LOG = "facts.log"
 _META = "meta.json"
 
-# Snapshot files carry a fixed-size CRC trailer *after* the pickle bytes:
-# ``pickle.load`` stops at the pickle's STOP opcode and ignores the tail, so
-# the worker pool's spool loader keeps reading snapshot files unchanged,
-# while the store itself verifies the checksum on every open.  A trailer
-# (rather than a sidecar file) keeps the write a single atomic rename — a
-# separate checksum file would reintroduce exactly the torn-pair crash
-# window the rename protocol exists to close.
+# Snapshot files carry a fixed-size CRC trailer *after* the pickle bytes,
+# which the store verifies on every open.  A trailer (rather than a sidecar
+# file) keeps the write a single atomic rename — a separate checksum file
+# would reintroduce exactly the torn-pair crash window the rename protocol
+# exists to close.
 _CRC_MAGIC = b"RPSNAPC1"
 _CRC_TRAILER = len(_CRC_MAGIC) + 4
 
@@ -207,8 +203,7 @@ class InstanceStore:
 
         With ``current_only`` (the default) the path is returned only when
         the log has no pending records, i.e. when the snapshot alone
-        reflects the full instance state — the precondition for handing the
-        file to the worker pool as a shared spool.
+        reflects the full instance state.
         """
         with self._lock:
             path = os.path.join(self._dir_of(name), _SNAPSHOT)
@@ -684,10 +679,10 @@ class InstanceStore:
         """Reload every stored instance (the boot path).
 
         With ``compact`` (the default), any instance whose log has pending
-        records is compacted after replay — the next boot replays nothing,
-        and the snapshot file becomes current so the worker pool can adopt
-        it as a shared spool.  Dropped leftovers (crash between the drop
-        record and the directory removal) are cleaned up here.
+        records is compacted after replay, so the next boot replays nothing
+        and a snapshot that failed its CRC check is rewritten from the
+        rebuilt state.  Dropped leftovers (crash between the drop record and
+        the directory removal) are cleaned up here.
         """
         loaded: Dict[str, StoredInstance] = {}
         with self._lock:

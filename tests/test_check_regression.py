@@ -4,16 +4,16 @@ A fresh ``BENCH_*.json`` that dropped or reshaped a key the committed
 baseline still has must skip-with-warning, not raise or hard-fail CI.
 """
 
+import copy
 import importlib.util
+import json
 import os
+import statistics
 
 import pytest
 
-_SCRIPT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks",
-    "check_regression.py",
-)
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SCRIPT = os.path.join(_ROOT, "benchmarks", "check_regression.py")
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +186,51 @@ class TestGateCli:
             )
             == 1
         )
+
+
+class TestCommittedBaselines:
+    """A metric a committed baseline lacks is skipped, so it gates nothing:
+    each baseline must carry every metric its gate reads."""
+
+    @staticmethod
+    def _committed(name):
+        with open(os.path.join(_ROOT, name), "r", encoding="utf-8") as handle:
+            return json.load(handle)
+
+    @staticmethod
+    def _gated(lines):
+        return [line.split()[1].rstrip(":") for line in lines]
+
+    def test_control_gate_reads_the_cheap_admission_metrics(self, gate):
+        baseline = self._committed("BENCH_control.json")
+        lines, failures = gate.compare("control", baseline, baseline, 2.0)
+        assert not failures
+        assert all(line.split()[0] == "ok" for line in lines)
+        assert self._gated(lines) == [
+            "cost_predictive.cheap.success_rate",
+            "cost_predictive.cheap.p95_ms",
+        ]
+        regressed = copy.deepcopy(baseline)
+        regressed["cost_predictive"]["cheap"]["p95_ms"] *= 3
+        _lines, failures = gate.compare("control", baseline, regressed, 2.0)
+        assert len(failures) == 1
+        assert "cost_predictive.cheap.p95_ms" in failures[0]
+
+    def test_obs_gate_reads_the_paired_median_ratio(self, gate):
+        baseline = self._committed("BENCH_obs.json")
+        overhead = baseline["overhead"]
+        # The baseline's overhead is the median of its per-round ratios.
+        assert overhead["p95_median_ratio"] == pytest.approx(
+            statistics.median(overhead["rounds_p95_ratio"]), abs=1e-4
+        )
+        assert len(overhead["rounds_p95_ratio"]) == baseline["config"]["rounds"]
+        lines, failures = gate.compare("obs", baseline, baseline, 2.0)
+        assert not failures
+        assert all(line.split()[0] == "ok" for line in lines)
+        assert "overhead.p95_median_ratio" in self._gated(lines)
+        assert len(lines) == 4
+        regressed = copy.deepcopy(baseline)
+        regressed["overhead"]["p95_median_ratio"] *= 2.5
+        _lines, failures = gate.compare("obs", baseline, regressed, 2.0)
+        assert len(failures) == 1
+        assert "overhead.p95_median_ratio" in failures[0]

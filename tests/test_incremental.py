@@ -180,7 +180,7 @@ class TestDeltaShipping:
         instance = _workload(seed)
         query = stock_total_query("SUM")
         with WorkerPool(workers=1) as pool:
-            pool.register_instance("w", instance)
+            pool.ref_for(instance, name="w")
             before = pool.answer(query, instance, name="w")
             assert _worker_counter(pool, "instance_loads") == 1
 
@@ -206,14 +206,14 @@ class TestDeltaShipping:
         instance = _workload(seed)
         query = stock_total_query("SUM")
         with WorkerPool(workers=1) as pool:
-            pool.register_instance("w", instance)
+            pool.ref_for(instance, name="w")
             pool.answer(query, instance, name="w")  # resident at v0
 
             # Re-register a newer full snapshot the worker never resolves,
             # then ship a delta whose base is that unseen snapshot: the
             # resident's version matches no chain segment.
             middle = _apply(instance, _point_ops(instance, seed))
-            pool.register_instance("w", middle)
+            pool.ref_for(middle, name="w")
             ops = _point_ops(middle, seed + 1)
             final = _apply(middle, ops)
             ref = pool.apply_named_delta("w", final, ops)
@@ -233,7 +233,7 @@ class TestDeltaShipping:
         seed = derive_seed(repro_seed, "delta-size")
         instance = _workload(seed)
         with WorkerPool(workers=1) as pool:
-            pool.register_instance("w", instance)
+            pool.ref_for(instance, name="w")
             ops = _point_ops(instance, seed)
             assert len(ops) > 1
             mutated = _apply(instance, ops)

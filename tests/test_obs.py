@@ -30,7 +30,6 @@ from repro.obs.admission import (
     CostPredictor,
     retry_after_s,
 )
-from repro.obs.control import MAX_RATE, AdaptiveSamplingController
 from repro.obs.cost import CostTable, add_cost, rollup
 from repro.obs.export import SpanExporter
 from repro.obs.log import set_log_level
@@ -759,6 +758,29 @@ class TestSampler:
         err = capsys.readouterr().err
         assert "usage:" in err and "--trace-sample" in err
 
+    def test_trace_target_rps_is_not_an_option(self, capsys):
+        from repro.serve.__main__ import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["--trace-target-rps", "5"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --trace-target-rps" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            ServeConfig(trace_target_rps=5.0)
+
+    def test_stats_count_head_decisions_only_when_pinned(self):
+        pinned = TraceSampler(4)
+        for _ in range(5):
+            pinned.sample()
+        stats = pinned.stats()
+        assert set(stats) == {"rate", "decisions", "head_decisions"}
+        assert (stats["rate"], stats["head_decisions"]) == (4, 5)
+        unpinned = TraceSampler()
+        assert all(unpinned.sample() for _ in range(5))
+        stats = unpinned.stats()
+        assert set(stats) == {"rate", "decisions"}
+        assert set(stats["decisions"]) == {"head", "slow", "error", "sampled_out"}
+
     def test_decide_precedence_head_error_slow_drop(self):
         sampler = TraceSampler(10)
         decide = sampler.decide
@@ -865,6 +887,41 @@ class TestSamplingIntegration:
                             exported.add(otlp_span["traceId"])
         assert set(retained_ids) <= exported
         assert not (set(dropped_ids) & exported)
+
+    def test_unpinned_server_retains_every_trace(self):
+        async def scenario(server, client):
+            ids = []
+            for _ in range(6):
+                await client.answer("stock", STOCK_SUM)
+                ids.append(client.last_trace_id)
+            for trace_id in ids:
+                retained = await client.trace(trace_id)
+                assert retained["trace_id"] == trace_id
+            return (await client.metrics())["sampling"]
+
+        sampling = serve_scenario(scenario)
+        assert sampling["rate"] == 1
+
+    def test_prometheus_exposes_retention_but_no_rate_families(self):
+        async def scenario(server, client):
+            for _ in range(3):
+                await client.answer("stock", STOCK_SUM)
+            host, port = server.address
+            status, _, page = await _raw_request(
+                host, port, "GET", "/metrics?format=prometheus"
+            )
+            assert status == 200
+            return parse_prometheus(page.decode("utf-8"))
+
+        families = serve_scenario(scenario, trace_sample=5)
+        retention = families["repro_trace_retention_total"]["samples"]
+        assert any(labels == (("decision", "head"),) for _, labels in retention)
+        removed = {
+            "repro_sample_rate",
+            "repro_sample_observed_rps",
+            "repro_sample_rate_adjustments_total",
+        }
+        assert not removed & set(families)
 
     def test_slow_threshold_rescues_sampled_out_traces(self):
         async def scenario(server, client):
@@ -1415,104 +1472,6 @@ class TestLogLevel:
         events = [json.loads(line)["event"] for line in captured_log.lines]
         assert "should_be_filtered" not in events
         assert "should_pass" in events
-
-
-# -- adaptive sampling control -----------------------------------------------------------
-
-
-def _tick_second(controller, clock_cell, arrivals):
-    """Feed one second of ``arrivals`` requests through the controller.
-
-    The last arrival lands after the fake clock crosses the interval
-    boundary, so it triggers the rate recomputation for the full window.
-    """
-    for _ in range(arrivals - 1):
-        controller.observe_arrival()
-    clock_cell[0] += 1.0
-    controller.observe_arrival()
-
-
-class TestAdaptiveSamplingController:
-    def _controller(self, target_rps=10.0, **kwargs):
-        sampler = TraceSampler(1)
-        clock_cell = [0.0]
-        kwargs.setdefault("alpha", 1.0)  # no smoothing: deterministic steps
-        controller = AdaptiveSamplingController(
-            sampler, target_rps, clock=lambda: clock_cell[0], **kwargs
-        )
-        return controller, sampler, clock_cell
-
-    def test_converges_after_a_10x_step(self):
-        controller, sampler, clock = self._controller(target_rps=10.0)
-        # steady state at 100 rps: one window moves N to 100/10 = 10
-        _tick_second(controller, clock, 100)
-        assert sampler.rate == 10
-        # a 10x arrival step: the next window re-lands the traced rate
-        # inside the hysteresis band around the target
-        _tick_second(controller, clock, 1000)
-        assert sampler.rate == 100
-        traced_rps = 1000 / sampler.rate
-        assert 10.0 / 1.25 <= traced_rps <= 10.0 * 1.25
-        # ...and holds there: no further adjustments while arrivals are flat
-        adjustments = controller.stats()["adjustments"]
-        for _ in range(3):
-            _tick_second(controller, clock, 1000)
-        assert controller.stats()["adjustments"] == adjustments
-        assert sampler.rate == 100
-
-    def test_hysteresis_absorbs_in_band_noise(self):
-        controller, sampler, clock = self._controller(target_rps=10.0)
-        _tick_second(controller, clock, 100)
-        assert sampler.rate == 10
-        # traced rate 11 rps is within the +-25% band: N must not flap
-        _tick_second(controller, clock, 110)
-        assert sampler.rate == 10
-        assert controller.stats()["adjustments"] == 1
-
-    def test_rate_recovers_downward_when_traffic_drops(self):
-        controller, sampler, clock = self._controller(target_rps=10.0)
-        _tick_second(controller, clock, 1000)
-        assert sampler.rate == 100
-        _tick_second(controller, clock, 20)
-        assert sampler.rate == 2
-
-    def test_rate_clamps_at_the_extremes(self):
-        controller, sampler, clock = self._controller(target_rps=0.01)
-        _tick_second(controller, clock, 100000)
-        assert sampler.rate == MAX_RATE
-        controller, sampler, clock = self._controller(target_rps=1000.0)
-        sampler.set_rate(64)
-        _tick_second(controller, clock, 10)
-        assert sampler.rate == 1
-
-    def test_stats_shape_and_validation(self):
-        controller, sampler, clock = self._controller(target_rps=10.0)
-        stats = controller.stats()
-        assert stats["mode"] == "adaptive"
-        assert stats["target_rps"] == 10.0
-        assert stats["observed_rps"] is None  # no full window yet
-        with pytest.raises(ValueError):
-            AdaptiveSamplingController(TraceSampler(1), 0.0)
-        with pytest.raises(ValueError):
-            AdaptiveSamplingController(TraceSampler(1), 10.0, interval_s=0)
-        with pytest.raises(ValueError):
-            AdaptiveSamplingController(TraceSampler(1), 10.0, alpha=0)
-        with pytest.raises(ValueError):
-            AdaptiveSamplingController(TraceSampler(1), 10.0, hysteresis=-1)
-
-    def test_server_reports_adaptive_vs_static_mode(self):
-        async def scenario(server, client):
-            metrics = await client.metrics()
-            return metrics["sampling"]
-
-        sampling = serve_scenario(scenario, trace_target_rps=50.0)
-        assert sampling["mode"] == "adaptive"
-        assert sampling["target_rps"] == 50.0
-        sampling = serve_scenario(
-            scenario, trace_sample=5, trace_target_rps=50.0
-        )
-        assert sampling["mode"] == "static"  # an explicit pin wins
-        assert sampling["rate"] == 5
 
 
 # -- cost-predictive admission -----------------------------------------------------------

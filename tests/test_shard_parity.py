@@ -581,8 +581,9 @@ class TestSummaryAggregateParity:
                 )
 
     def test_worker_pool_parity(self, repro_seed):
-        """The long-lived worker pool reuses adopted instances; its workers
-        return pickled summary states that must re-merge identically."""
+        """The long-lived worker pool keeps the instances it was sent
+        resident; its workers return pickled summary states that must
+        re-merge identically."""
         from repro.engine.workers import WorkerPool
 
         instance = _workload(

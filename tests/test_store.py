@@ -42,7 +42,6 @@ from repro.store import (
     LogRecord,
     SnapshotCorruptionWarning,
     StoreError,
-    StoreSnapshot,
 )
 from repro.workloads.scenarios import fig1_stock_instance, fig1_stock_schema
 
@@ -342,16 +341,6 @@ class TestSnapshotChecksum:
         assert raw[-_CRC_TRAILER:-4] == _CRC_MAGIC
         stored = InstanceStore(str(tmp_path)).load("stock")
         assert stored.instance.facts == fig1_stock_instance().facts
-
-    def test_pool_spool_loader_ignores_the_trailer(self, tmp_path):
-        # The worker pool adopts snapshot.pkl directly; plain pickle.load
-        # must keep working (it stops at the pickle STOP opcode).
-        store = InstanceStore(str(tmp_path))
-        store.save("stock", fig1_stock_instance(), version=1)
-        with open(store.snapshot_path("stock"), "rb") as handle:
-            payload = pickle.load(handle)
-        assert isinstance(payload, StoreSnapshot)
-        assert payload.instance.facts == fig1_stock_instance().facts
 
     def test_corrupt_snapshot_falls_back_to_log_replay(self, tmp_path):
         store = InstanceStore(str(tmp_path), compact_every=0)
@@ -853,58 +842,35 @@ class TestRestartSurvival:
 
 
 class TestStoreWorkerPool:
-    def test_pool_adopts_store_snapshots_and_serves_mutations(self, tmp_path):
+    def test_pool_serves_a_reloaded_instance_and_later_mutations(self, tmp_path):
         async def mutate_phase(server, client):
             await client.mutate_instance(
                 "stock", [("add", *NEW_FACT), ("remove", *REMOVED_FACT)]
             )
-            return await client.answer("stock", STOCK_SUM)
 
         async def verify_phase(server, client):
-            # Boot adopted the store's snapshot as the pool spool: the named
-            # ref is a hard link of the snapshot (same bytes, no re-pickle),
-            # immutable even if the store later compacts over its own path.
-            ref = server._pool._named_refs["stock"][1]
-            assert os.path.basename(ref.spool_path).startswith("adopted-")
-            store_path = server.store.snapshot_path("stock")
-            assert store_path is not None
-            assert os.path.samefile(ref.spool_path, store_path)
-            answer = await client.answer("stock", STOCK_SUM)
-            # A further mutation delta-ships over the adopted spool: the new
-            # ref keeps the hard-linked base (immutable per version), carries
-            # the fact delta as a chain, and answers reflect it immediately.
-            await client.mutate_instance("stock", [("remove", *NEW_FACT)])
-            after = await client.answer("stock", STOCK_SUM)
-            new_ref = server._pool._named_refs["stock"][1]
-            assert new_ref.version == ref.version + 1
-            assert new_ref.spool_path == ref.spool_path
-            assert new_ref.delta and len(new_ref.delta) == 1
-            assert os.path.exists(store_path)  # store file never deleted
-            return answer, after
+            answers = [await client.answer("stock", STOCK_SUM)]
+            for op in (("remove", *NEW_FACT), ("add", *REMOVED_FACT)):
+                await client.mutate_instance("stock", [op])
+                answers.append(await client.answer("stock", STOCK_SUM))
+            per_worker = server._pool.stats()["per_worker"]
+            return answers, sum(w.get("answer_jobs", 0) for w in per_worker)
 
-        first, (answer, after) = restart_scenario(
+        _, (answers, answer_jobs) = restart_scenario(
             tmp_path, mutate_phase, verify_phase, worker_processes=1
         )
-        assert answer == first
+        assert answer_jobs == 3  # every answer ran on the pool
+        reloaded = mutated_stock_instance()
+        once = reloaded.copy()
+        once.remove_fact(Fact(*NEW_FACT))
+        twice = fig1_stock_instance()
         engine = ConsistentAnswerEngine()
-        reverted = fig1_stock_instance()
-        reverted.remove_fact(Fact(*REMOVED_FACT))
-        assert after == engine.answer(stock_sum_query(), reverted)
-
-    def test_instance_ref_loader_unwraps_store_snapshots(self, tmp_path):
-        from repro.engine.workers import InstanceRef
-
-        store = InstanceStore(str(tmp_path))
-        instance = fig1_stock_instance()
-        store.save("stock", instance, version=1)
-        ref = InstanceRef(
-            key="stock",
-            version=1,
-            fingerprint="x",
-            size=len(instance),
-            spool_path=store.snapshot_path("stock"),
-        )
-        assert ref.load() == instance
+        expected = [
+            engine.answer(stock_sum_query(), state)
+            for state in (reloaded, once, twice)
+        ]
+        assert len(set(map(str, expected))) == 3  # each write moves the answer
+        assert answers == expected
 
     def test_chunks_route_by_least_queue_depth(self):
         query = stock_sum_query()

@@ -1,5 +1,5 @@
-"""Worker-pool tests: lifecycle, instance transfer, stable assignment,
-crash recovery, and — most importantly — parity with in-process execution.
+"""Worker-pool tests: lifecycle, instance transfer, shard routing, crash
+recovery, and — most importantly — parity with in-process execution.
 
 The pool is only allowed to exist because it is indistinguishable from the
 in-process engine (same Fraction-exact bounds, same GROUP BY keys, same ⊥
@@ -25,7 +25,12 @@ from repro.engine import (
     WorkerPool,
     clear_summary_cache,
 )
-from repro.engine.workers import WorkerPoolError, shard_worker_of
+from repro.engine.sharding import (
+    ShardPlanner,
+    _cached_shard_plan,
+    summarize_planned_shard,
+)
+from repro.engine.workers import WorkerPoolError
 from repro.workloads.generators import (
     InconsistentDatabaseGenerator,
     WorkloadSpec,
@@ -113,6 +118,19 @@ class TestPoolLifecycle:
             assert "plan_cache" in worked[0]
             assert worked[0]["resident_instances"] == 1
 
+    @pytest.mark.parametrize("worker", [0, 2])
+    def test_a_worker_exits_when_its_job_pipe_closes(self, worker):
+        """The pool must be the only writer of a worker's job pipe, so that
+        closing the pool's end ends the worker at EOF.  The first worker's
+        end was also inherited by its two forked siblings; the last
+        worker's end only by the worker itself."""
+        with WorkerPool(workers=3) as pool:
+            pid = pool.worker_pids()[worker]
+            pool._handles[worker].job_conn.close()
+            assert _wait_until(lambda: not _running(pid), timeout=5.0), (
+                f"worker {worker} (pid {pid}) outlived its job pipe"
+            )
+
 
 def _alive(pid: int) -> bool:
     try:
@@ -122,6 +140,19 @@ def _alive(pid: int) -> bool:
     except PermissionError:
         return True
     return True
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie: an exited orphan may wait a while for its
+    new parent to reap it, and that parent is outside the test's control."""
+    if not _alive(pid):
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except OSError:  # gone since the probe, or no procfs: probe again
+        return _alive(pid)
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 # -- instance registration and transfer --------------------------------------------------
@@ -251,48 +282,61 @@ class TestInstanceTransfer:
                 del instance  # free the object so the next round may reuse its id
 
 
-# -- stable shard→worker assignment ------------------------------------------------------
+# -- shard routing -----------------------------------------------------------------------
 
 
-class TestStableShardAssignment:
-    def test_hash_is_deterministic_and_in_range(self):
-        for shards in (2, 3, 7):
-            for index in range(shards):
-                owner = shard_worker_of("fp", shards, index, 4)
-                assert owner == shard_worker_of("fp", shards, index, 4)
-                assert 0 <= owner < 4
-        # A single worker owns everything.
-        assert shard_worker_of("fp", 5, 3, 1) == 0
-
-    def test_assignment_is_stable_across_pools_and_reregistration(self):
-        instance = fig1_stock_instance()
-        with WorkerPool(workers=3) as first:
-            original = first.shard_assignment(instance, 7)
-            assert original == first.shard_assignment(instance, 7)
-        with WorkerPool(workers=3) as second:
-            assert second.shard_assignment(instance, 7) == original
-            # Re-registering a database with the same schema keeps every
-            # shard on its worker: the hash keys on the schema fingerprint.
-            replacement = fig1_stock_instance()
-            replacement.add_row("Stock", "Tesla Z", "Chicago", 4000)
-            second.register_instance("db", replacement)
-            assert second.shard_assignment(replacement, 7) == original
-
-    def test_shard_jobs_land_on_assigned_workers(self):
+class TestShardRouting:
+    def test_shard_runs_avoid_a_wedged_worker_and_keep_index_order(self):
         instance = _workload(11, stock_facts=40)
-        query = stock_total_query("MAX")
         engine = ConsistentAnswerEngine()
-        plan = engine.compile(query)
+        plan = engine.compile(stock_total_query("MAX"))
+        indices = [3, 0, 2, 1]
         with WorkerPool(workers=2, engine_config=engine.config()) as pool:
-            assignment = set(pool.shard_assignment(instance, 4))
-            pool.summarize_shards(
-                plan.query, instance, 4, "balanced", range(4), binding={}
+            # Wedge worker 0 under three slow jobs; the shard runs must then
+            # go to worker 1 (depth 0..1 vs 3), whatever the shard indices.
+            blockers = [pool._submit(0, "sleep", (0.6,)) for _ in range(3)]
+            summaries = pool.summarize_shards(
+                plan.query, instance, 4, "balanced", indices, binding={}, timeout=30
             )
-            stats = pool.stats()
-            workers_with_shard_jobs = {
-                w["worker"] for w in stats["per_worker"] if w.get("shard_jobs")
-            }
-            assert workers_with_shard_jobs == assignment
+            for blocker in blockers:
+                blocker.result(timeout=30)
+            per_worker = {w["worker"]: w for w in pool.stats()["per_worker"]}
+            assert per_worker[0].get("shard_jobs", 0) == 0
+            assert per_worker[1]["shard_jobs"] == 2  # at most one run per worker
+        shard_plan = _cached_shard_plan(ShardPlanner("balanced"), plan, instance, 4)
+        expected = [
+            summarize_planned_shard(plan, shard_plan, index, instance.schema, {})
+            for index in indices
+        ]
+        assert len(set(expected)) > 1  # distinct summaries: the order is visible
+        assert summaries == expected
+
+    def test_misses_split_into_at_most_one_run_per_worker(self):
+        instance = _workload(12, stock_facts=60)
+        engine = ConsistentAnswerEngine()
+        plan = engine.compile(stock_total_query("SUM"))
+        shard_plan = _cached_shard_plan(ShardPlanner("balanced"), plan, instance, 7)
+        assert len(shard_plan.shards) == 7
+
+        def shard_jobs(pool):
+            return sum(w.get("shard_jobs", 0) for w in pool.stats()["per_worker"])
+
+        indices = [6, 1, 4, 0, 5, 2, 3]
+        with WorkerPool(workers=2, engine_config=engine.config()) as pool:
+            summaries = pool.summarize_shards(
+                plan.query, instance, 7, "balanced", indices, binding={}, timeout=30
+            )
+            assert shard_jobs(pool) == 2  # seven misses, two runs
+            single = pool.summarize_shards(
+                plan.query, instance, 7, "balanced", [5], binding={}, timeout=30
+            )
+            assert shard_jobs(pool) == 3  # one miss, one run
+        expected = [
+            summarize_planned_shard(plan, shard_plan, index, instance.schema, {})
+            for index in indices
+        ]
+        assert summaries == expected
+        assert single == [expected[indices.index(5)]]
 
 
 # -- crash recovery ----------------------------------------------------------------------
@@ -560,6 +604,42 @@ class TestServeWorkerMode:
         assert sum(w.get("shard_jobs", 0) for w in pool["per_worker"]) >= 1
         assert pool["jobs_submitted"] == jobs
 
+    def test_first_write_after_a_sharded_read_ships_a_delta(self):
+        """Sharded reads and writes share the registry name's ref, so the
+        first write after a pooled sharded read ships a fact delta instead
+        of pickling the instance a second time."""
+        from repro.query.parser import parse_aggregation_query
+        from repro.serve import ConsistentAnswerServer, ServeClient, ServeConfig
+
+        group_query = "(t, SUM(y)) <- Stock(p, t, y)"
+        instance = _workload(11, stock_facts=40)
+        removed = min((f for f in instance.facts if f.relation == "Stock"), key=repr)
+
+        async def scenario():
+            server = ConsistentAnswerServer(
+                ServeConfig(port=0, workers=2, worker_processes=2)
+            )
+            await server.start()
+            try:
+                async with ServeClient(*server.address) as client:
+                    await client.register_instance("sharded", instance, shards=4)
+                    await client.answer_group_by("sharded", group_query)
+                    await client.mutate_instance(
+                        "sharded", [("remove", "Stock", tuple(removed.values))]
+                    )
+                    after = await client.answer_group_by("sharded", group_query)
+                    return after, (await client.metrics())["worker_pool"]
+            finally:
+                await server.stop()
+
+        clear_summary_cache()
+        after, pool = self._serve(scenario())
+        assert (pool["delta_ships"], pool["delta_reships"]) == (1, 0)
+        mutated = instance.copy()
+        mutated.remove_fact(removed)
+        query = parse_aggregation_query(instance.schema, group_query)
+        assert after == ConsistentAnswerEngine().answer_group_by(query, mutated)
+
     def test_worker_killed_mid_request_releases_the_gate(self):
         """The PR's serve bugfix contract: a worker crash mid-request must
         produce a retried 200 or a structured 500 — never a hung admission
@@ -637,6 +717,55 @@ class TestServeWorkerMode:
         err = capsys.readouterr().err
         assert "error: cannot listen on" in err
         assert str(port) in err
+
+    def test_sigterm_leaves_no_orphaned_workers(self, tmp_path):
+        """SIGTERM skips the pool's shutdown: the workers must exit on the
+        EOF of their job pipes instead of living on under another parent."""
+        import json
+        import subprocess
+        import sys
+        import urllib.request
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        log_path = tmp_path / "server.log"
+        pids = []
+        with open(log_path, "w") as log:
+            server = subprocess.Popen(
+                [sys.executable, "-m", "repro.serve", "--port", "0", "--workers", "2"],
+                stderr=log,
+                env=env,
+            )
+        try:
+            port = None
+
+            def listening() -> bool:
+                nonlocal port
+                for line in log_path.read_text().splitlines():
+                    if '"event":"listening"' in line:
+                        port = json.loads(line)["port"]
+                return port is not None
+
+            assert _wait_until(listening, timeout=30), log_path.read_text()
+            url = f"http://127.0.0.1:{port}/metrics"
+            with urllib.request.urlopen(url, timeout=30) as response:
+                pool = json.load(response)["worker_pool"]
+            pids = [worker["pid"] for worker in pool["per_worker"]]
+            assert len(pids) == 2 and all(pids)
+            server.send_signal(signal.SIGTERM)
+            server.wait(timeout=30)
+            _wait_until(lambda: not any(map(_running, pids)), timeout=5.0)
+            survivors = [pid for pid in pids if _running(pid)]
+            assert not survivors, f"workers outlived the server: {survivors}"
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_port_busy_in_worker_mode_tears_the_pool_down(self, capsys):
         from repro.serve.__main__ import main
