@@ -7,21 +7,27 @@ Depth-only admission lets the heavies monopolise the engine threads and
 the cheap traffic queues behind them; cost-predictive admission
 (``--max-queue-cost-ms``) sheds the heavies once the queued-CPU ledger is
 full, so the cheap p95 stays flat.  The report carries per-class success
-rates, shed rates, and latency percentiles for both policies.
+rates, shed rates, and latency percentiles for both policies; the gated
+metrics are the cheap class's success rate and p95 under cost-predictive
+admission (see ``check_regression.py``).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_control.py \
-        --cheap 120 --heavy 40 --concurrency 16 --out BENCH_control.json
+    PYTHONPATH=src python benchmarks/bench_control.py
+
+Its option defaults are CI's settings; only ``benchmarks/gates.py``
+writes the committed ``BENCH_control.json``.  A cheap success rate under
+0.9 fails the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import sys
 import time
+
+from check_regression import metric, write_report
 
 from repro.serve.app import ConsistentAnswerServer, ServeConfig
 from repro.serve.client import ServeClient
@@ -167,27 +173,37 @@ async def run_policy(max_queue_cost_ms, cheap, heavy, concurrency, threads):
 
 
 async def run_bench(cheap, heavy, concurrency, threads, budget_ms):
+    """(config, metrics, detail) of one run."""
     depth_only = await run_policy(None, cheap, heavy, concurrency, threads)
     cost_predictive = await run_policy(
         budget_ms, cheap, heavy, concurrency, threads
     )
-    return {
-        "benchmark": "control",
-        "timestamp": time.time(),
-        "config": {
-            "cheap_requests": cheap,
-            "heavy_requests": heavy,
-            "concurrency": concurrency,
-            "threads": threads,
-            "budget_ms": budget_ms,
-            "heavy_facts": HEAVY_FACTS,
-        },
-        "depth_only": depth_only,
-        "cost_predictive": cost_predictive,
+    config = {
+        "cheap": cheap,
+        "heavy": heavy,
+        "concurrency": concurrency,
+        "threads": threads,
+        "budget_ms": budget_ms,
+        "heavy_facts": HEAVY_FACTS,
     }
+    # The point of cost-predictive admission is that cheap traffic keeps
+    # succeeding (and stays fast) while the heavies are shed.
+    protected = cost_predictive["cheap"]
+    metrics = [
+        metric(
+            "cost_predictive.cheap.success_rate",
+            "ratio",
+            "higher",
+            1.0,
+            protected["success_rate"],
+        ),
+        metric("cost_predictive.cheap.p95_ms", "ms", "lower", 1.0, protected["p95_ms"]),
+    ]
+    detail = {"depth_only": depth_only, "cost_predictive": cost_predictive}
+    return config, metrics, detail
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cheap", type=int, default=120)
     parser.add_argument("--heavy", type=int, default=40)
@@ -201,29 +217,29 @@ def main(argv=None) -> int:
         default=250.0,
         help="--max-queue-cost-ms of the cost-predictive server",
     )
-    parser.add_argument("--out", default="BENCH_control.json")
-    args = parser.parse_args(argv)
+    parser.add_argument("--out", default="BENCH_control.fresh.json")
+    return parser
 
-    result = asyncio.run(
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+
+    config, metrics, detail = asyncio.run(
         run_bench(
             args.cheap, args.heavy, args.concurrency, args.threads, args.budget_ms
         )
     )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(result, indent=2))
+    write_report(args.out, "control", config, metrics, detail)
 
-    failures = []
-    cheap = result["cost_predictive"]["cheap"]
-    if (cheap["success_rate"] or 0.0) < 0.9:
-        failures.append(
-            f"cheap traffic success rate {cheap['success_rate']} under "
-            "cost-predictive admission fell below the 0.9 floor"
+    rate = detail["cost_predictive"]["cheap"]["success_rate"]
+    if (rate or 0.0) < 0.9:
+        print(
+            f"FAIL: cheap traffic success rate {rate} under cost-predictive "
+            "admission fell below the 0.9 floor",
+            file=sys.stderr,
         )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

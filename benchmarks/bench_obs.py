@@ -17,28 +17,27 @@ always runs first.  The overhead is the **median of the per-round
 ratios**: pairing cancels drift between rounds (a noisy neighbour, a
 frequency change), and the median discards the odd round where a GC pause
 or a scheduler hiccup hit one side only.  ``--check-overhead`` gates on
-that median; ``check_regression.py --kind obs`` in CI compares it, and the
-per-mode median p95, against the committed baseline.
+that median; the gated metrics (see ``check_regression.py``) are that
+median and each mode's median p95.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_obs.py \
-        --requests 400 --concurrency 8 --rounds 25 --out BENCH_obs.json
-
     # CI gate: fail when tracing costs more than 5% of p95 (paired median)
     PYTHONPATH=src python benchmarks/bench_obs.py --check-overhead 5
+
+Its option defaults are CI's settings; only ``benchmarks/gates.py``
+writes the committed ``BENCH_obs.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import statistics
 import sys
-import time
 
 from bench_serve import mixed_workload
+from check_regression import metric, write_report
 
 from repro.serve.app import ConsistentAnswerServer, ServeConfig
 from repro.serve.client import LoadGenerator
@@ -112,9 +111,8 @@ def _paired_ratios(mode_rounds: list, off_rounds: list) -> list:
     ]
 
 
-async def run_bench(
-    requests: int, concurrency: int, threads: int, rounds: int
-) -> dict:
+async def run_bench(requests: int, concurrency: int, threads: int, rounds: int):
+    """(config, metrics, detail) of one run."""
     warmup = min(max(8, requests // 4), 100)  # plans warm within one rotation
     by_mode: dict = {key: [] for key, _, _ in MODES}
     for index in range(rounds):
@@ -136,21 +134,25 @@ async def run_bench(
     sampled_ratios = _paired_ratios(by_mode["tracing_sampled"], by_mode["tracing_off"])
     median_ratio = statistics.median(on_ratios)
     sampled_median_ratio = statistics.median(sampled_ratios)
-    return {
-        "benchmark": "obs",
-        "timestamp": time.time(),
-        "config": {
-            "requests": requests,
-            "concurrency": concurrency,
-            "threads": threads,
-            "rounds": rounds,
-            "warmup": warmup,
-            "profile": "mixed",
-            "sampled_rate": 10,
-        },
+    config = {
+        "requests": requests,
+        "concurrency": concurrency,
+        "threads": threads,
+        "rounds": rounds,
+        "warmup": warmup,
+        "profile": "mixed",
+        "sampled_rate": 10,
+    }
+    metrics = [
+        metric(f"{key}.p95_median_ms", "ms", "lower", 1.0, mode["p95_median_ms"])
+        for key, mode in modes.items()
+    ]
+    ratio = round(median_ratio, 4)
+    metrics.append(metric("overhead.p95_median_ratio", "ratio", "lower", 1.0, ratio))
+    detail = {
         **modes,
         "overhead": {
-            "p95_median_ratio": round(median_ratio, 4),
+            "p95_median_ratio": ratio,
             "p95_median_pct": round((median_ratio - 1.0) * 100.0, 2),
             "sampled_p95_median_ratio": round(sampled_median_ratio, 4),
             "sampled_p95_median_pct": round(
@@ -165,9 +167,10 @@ async def run_bench(
             ),
         },
     }
+    return config, metrics, detail
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--requests", type=int, default=400)
     parser.add_argument("--concurrency", type=int, default=8)
@@ -181,7 +184,7 @@ def main(argv=None) -> int:
         help="paired off/on/sampled rounds, alternating the mode order; the "
         "gate reads the median of the per-round p95 ratios",
     )
-    parser.add_argument("--out", default="BENCH_obs.json")
+    parser.add_argument("--out", default="BENCH_obs.fresh.json")
     parser.add_argument(
         "--check-overhead",
         type=float,
@@ -190,17 +193,18 @@ def main(argv=None) -> int:
         help="exit 1 when the median per-round p95 ratio of tracing on (or "
         "sampled) over tracing off exceeds 1 + PCT/100",
     )
-    args = parser.parse_args(argv)
+    return parser
 
-    result = asyncio.run(
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+
+    config, metrics, detail = asyncio.run(
         run_bench(args.requests, args.concurrency, args.threads, max(1, args.rounds))
     )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(result, indent=2))
+    write_report(args.out, "obs", config, metrics, detail)
 
-    if any(result[key]["errors_5xx"] for key, _, _ in MODES):
+    if any(detail[key]["errors_5xx"] for key, _, _ in MODES):
         print("FAIL: 5xx responses during the bench", file=sys.stderr)
         return 1
     if args.check_overhead is not None:
@@ -209,7 +213,7 @@ def main(argv=None) -> int:
             ("tracing", "p95_median_pct"),
             ("tracing+sampling", "sampled_p95_median_pct"),
         ):
-            overhead = result["overhead"][pct_key]
+            overhead = detail["overhead"][pct_key]
             if overhead > args.check_overhead:
                 print(
                     f"FAIL: {label} median paired p95 overhead {overhead}% "

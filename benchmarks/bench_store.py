@@ -16,39 +16,32 @@ and measures the costs an operator of a ``--store-dir`` deployment pays:
   query identically to the in-memory one (a fast wrong reload is
   worthless).
 
+The report declares no gated metric: every number is ``detail``.
+
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_store.py \
-        --blocks 400 --appends 200 --out BENCH_store.json
+    PYTHONPATH=src python benchmarks/bench_store.py --check-parity
+
+Its option defaults are CI's settings; only ``benchmarks/gates.py``
+writes the committed ``BENCH_store.json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 import tempfile
 import time
 
+from bench_shard import scalability_instance
+from check_regression import write_report
+
 from repro.datamodel.facts import Fact
 from repro.datamodel.instance import DatabaseInstance
 from repro.engine import ConsistentAnswerEngine
 from repro.store import InstanceStore
-from repro.workloads.generators import InconsistentDatabaseGenerator, WorkloadSpec
 from repro.workloads.queries import stock_total_query
-
-
-def scalability_instance(blocks: int, inconsistency: float, seed: int):
-    spec = WorkloadSpec(
-        dealers=max(5, blocks // 10),
-        products=max(5, blocks // 10),
-        towns=max(5, blocks // 20),
-        stock_facts=blocks,
-        inconsistency=inconsistency,
-        seed=seed,
-    )
-    return InconsistentDatabaseGenerator(spec).generate()
 
 
 def _timed(fn):
@@ -57,15 +50,18 @@ def _timed(fn):
     return result, time.perf_counter() - started
 
 
-def run_bench(blocks: int, appends: int, inconsistency: float, seed: int) -> dict:
+def run_bench(blocks: int, appends: int, inconsistency: float, seed: int):
+    """(config, metrics, detail) of one run; no metric is gated."""
     instance = scalability_instance(blocks, inconsistency, seed)
     root = tempfile.mkdtemp(prefix="repro-bench-store-")
-    report: dict = {
+    config = {
         "blocks": blocks,
         "facts": len(instance),
         "appends": appends,
+        "inconsistency": inconsistency,
         "seed": seed,
     }
+    report: dict = {}
     try:
         store = InstanceStore(root, compact_every=0)  # compaction timed by hand
         _, save_s = _timed(lambda: store.save("bench", instance, version=1))
@@ -112,28 +108,32 @@ def run_bench(blocks: int, appends: int, inconsistency: float, seed: int) -> dic
         report["post_compaction_load_ms"] = round(post_s * 1000, 3)
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    return report
+    return config, [], report
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--blocks", type=int, default=400)
-    parser.add_argument("--appends", type=int, default=200)
+    parser.add_argument("--blocks", type=int, default=200)
+    parser.add_argument("--appends", type=int, default=100)
     parser.add_argument("--inconsistency", type=float, default=0.25)
     parser.add_argument("--seed", type=int, default=20260728)
-    parser.add_argument("--out", default="BENCH_store.json")
+    parser.add_argument("--out", default="BENCH_store.fresh.json")
     parser.add_argument(
         "--check-parity",
         action="store_true",
         help="exit non-zero unless the replayed instance answers identically",
     )
-    args = parser.parse_args(argv)
+    return parser
 
-    report = run_bench(args.blocks, args.appends, args.inconsistency, args.seed)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if args.check_parity and not report["parity_ok"]:
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+
+    config, metrics, detail = run_bench(
+        args.blocks, args.appends, args.inconsistency, args.seed
+    )
+    write_report(args.out, "store", config, metrics, detail)
+    if args.check_parity and not detail["parity_ok"]:
         print(
             "FAIL: replayed instance diverges from the in-memory one",
             file=sys.stderr,

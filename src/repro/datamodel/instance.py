@@ -16,26 +16,10 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 from repro.datamodel.facts import Constant, Fact
 from repro.datamodel.signature import Schema
 from repro.exceptions import SchemaError
-from repro.util import stable_hash_64
 
 BlockKey = Tuple[str, Tuple[Constant, ...]]
 
 _LINEAGE_IDS = itertools.count(1)
-
-
-def canonical_shard_slot(block_key: BlockKey, slots: int) -> int:
-    """Plan-independent block → slot assignment for version vectors.
-
-    Every consumer of the per-shard version vector (registry bookkeeping,
-    mutation responses, worker-side delta accounting) must agree on which
-    slot a block belongs to without seeing a query plan, so the mapping
-    hashes the block key alone.  It intentionally matches the hashed
-    sharding strategy's shape (stable hash modulo slot count) but is not
-    tied to any particular ``ShardPlan``.
-    """
-    if slots <= 1:
-        return 0
-    return stable_hash_64(repr(block_key)) % slots
 
 
 class _LineageClock:

@@ -15,7 +15,6 @@ pluggable backend, and fans batches out across processes.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 import weakref
@@ -62,25 +61,17 @@ class AnswerOptions:
     Fields that a given entry point does not use are ignored there
     (``max_workers`` only matters to batches, ``strategy`` only to sharded
     execution), so one options value can drive a mixed workload.
-
-    ``deadline`` is a *relative* budget in seconds: execution runs under a
-    cooperative cancellation token that expires that many seconds after the
-    call starts (see :mod:`repro.engine.cancellation`), covering shard
-    boundaries, batch items and worker-pool jobs.
     """
 
     shards: Optional[int] = None
     strategy: str = "balanced"
     max_workers: Optional[int] = None
-    deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.shards is not None and self.shards < 1:
             raise ValueError("AnswerOptions.shards must be >= 1")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("AnswerOptions.max_workers must be >= 1")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("AnswerOptions.deadline must be > 0 seconds")
 
 
 def _fallback_reason_slug(reason: Optional[str]) -> str:
@@ -289,13 +280,6 @@ class ConsistentAnswerEngine:
             instance, self._checked_binding(plan, binding)
         )
 
-    def _deadline_scope(self, options: AnswerOptions):
-        if options.deadline is None:
-            return contextlib.nullcontext()
-        from repro.engine.cancellation import deadline_token, token_scope
-
-        return token_scope(deadline_token(time.monotonic() + options.deadline))
-
     def answer(
         self,
         query: AggregationQuery,
@@ -322,27 +306,26 @@ class ConsistentAnswerEngine:
         opts = options if options is not None else AnswerOptions()
         plan = self.compile(query)
         binding = self._checked_binding(plan, binding)
-        with self._deadline_scope(opts):
-            if opts.shards is not None and opts.shards > 1:
-                from repro.engine.sharding import execute_sharded
+        if opts.shards is not None and opts.shards > 1:
+            from repro.engine.sharding import execute_sharded
 
-                return execute_sharded(
-                    self,
-                    query,
-                    instance,
-                    opts.shards,
-                    binding=binding,
-                    strategy=opts.strategy,
-                )
-            with obs_span("execute.glb", strategy=plan.glb_strategy):
-                add_cost("facts_scanned", len(instance))
-                add_cost("blocks_touched", instance.block_count())
-                glb = plan.executors["glb"].evaluate(instance, binding)
-            with obs_span("execute.lub", strategy=plan.lub_strategy):
-                add_cost("facts_scanned", len(instance))
-                add_cost("blocks_touched", instance.block_count())
-                lub = plan.executors["lub"].evaluate(instance, binding)
-            return RangeAnswer(glb, lub)
+            return execute_sharded(
+                self,
+                query,
+                instance,
+                opts.shards,
+                binding=binding,
+                strategy=opts.strategy,
+            )
+        with obs_span("execute.glb", strategy=plan.glb_strategy):
+            add_cost("facts_scanned", len(instance))
+            add_cost("blocks_touched", instance.block_count())
+            glb = plan.executors["glb"].evaluate(instance, binding)
+        with obs_span("execute.lub", strategy=plan.lub_strategy):
+            add_cost("facts_scanned", len(instance))
+            add_cost("blocks_touched", instance.block_count())
+            lub = plan.executors["lub"].evaluate(instance, binding)
+        return RangeAnswer(glb, lub)
 
     # -- GROUP BY execution ------------------------------------------------------------
 
@@ -365,8 +348,7 @@ class ConsistentAnswerEngine:
         free = plan.query.free_variables
         if not free:
             raise BackendError("answer_group_by() requires a query with free variables")
-        with self._deadline_scope(opts):
-            return self._answer_group_by_inner(plan, query, instance, opts)
+        return self._answer_group_by_inner(plan, query, instance, opts)
 
     def _answer_group_by_inner(
         self,
@@ -452,8 +434,7 @@ class ConsistentAnswerEngine:
         from repro.engine.batch import execute_batch
 
         opts = options if options is not None else AnswerOptions()
-        with self._deadline_scope(opts):
-            return execute_batch(self, items, max_workers=opts.max_workers)
+        return execute_batch(self, items, max_workers=opts.max_workers)
 
     # -- sharding telemetry ------------------------------------------------------------
 

@@ -252,7 +252,7 @@ def _worker_main(
     for conn in parent_ends:
         conn.close()
     from repro.engine.batch import _answer_one
-    from repro.engine.engine import AnswerOptions, ConsistentAnswerEngine
+    from repro.engine.engine import ConsistentAnswerEngine
     from repro.engine.sharding import (
         ShardPlanner,
         _cached_shard_plan,
@@ -307,13 +307,12 @@ def _worker_main(
 
     def handle(kind: str, payload: tuple) -> object:
         if kind == "answer":
-            ref, query, binding, shards = payload
+            ref, query, binding = payload
             counters["answer_jobs"] += 1
             instance = resolve(ref)
-            options = AnswerOptions(shards=shards)
             if query.free_variables and binding is None:
-                return engine.answer_group_by(query, instance, options)
-            return engine.answer(query, instance, binding or {}, options)
+                return engine.answer_group_by(query, instance)
+            return engine.answer(query, instance, binding or {})
         if kind == "chunk":
             (items,) = payload
             counters["chunk_jobs"] += 1
@@ -1012,7 +1011,6 @@ class WorkerPool:
         query: AggregationQuery,
         instance: DatabaseInstance,
         binding: Optional[Dict] = None,
-        shards: Optional[int] = None,
         name: Optional[str] = None,
         timeout: Optional[float] = None,
     ):
@@ -1023,7 +1021,7 @@ class WorkerPool:
         worker = self._least_busy_worker()
         with obs_span("pool.answer", worker=worker) as dispatch:
             future = self._submit(
-                worker, "answer", (ref, query, binding, shards), parent_span=dispatch
+                worker, "answer", (ref, query, binding), parent_span=dispatch
             )
             return self._result(future, timeout)
 

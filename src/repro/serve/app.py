@@ -1324,8 +1324,7 @@ class ConsistentAnswerServer:
         ``If-Match: <version>`` (or a body-level ``expected_version``),
         answered with 409 on mismatch, so concurrent writers get clean
         409s instead of silent interleavings.  The response reports the
-        write's blast radius: the new ``version``, the ``touched_blocks``,
-        and the canonical ``shards_invalidated`` slots.
+        write's footprint: the new ``version`` and the ``touched_blocks``.
 
         The mutation (copy-on-write apply + fsync'd log append) runs on the
         engine pool via :meth:`_dispatch` so disk I/O never blocks the
@@ -1357,7 +1356,6 @@ class ConsistentAnswerServer:
             "touched_blocks": [
                 encode_block_key(key) for key in outcome.touched_blocks
             ],
-            "shards_invalidated": list(outcome.shards_invalidated),
         }
 
     async def _handle_drop_instance(

@@ -276,8 +276,8 @@ class ServeClient:
         ``If-Match`` header, turning a lost optimistic-concurrency race
         into a :class:`ServeClientError` with status 409.  Returns the
         mutated instance's description (bumped ``version`` included)
-        merged with the write's footprint: ``applied``,
-        ``touched_blocks``, and ``shards_invalidated``.
+        merged with the write's footprint: ``applied`` and
+        ``touched_blocks``.
         """
         from urllib.parse import quote
 
@@ -297,7 +297,6 @@ class ServeClient:
             **result["mutated"],
             "applied": result["applied"],
             "touched_blocks": result["touched_blocks"],
-            "shards_invalidated": result["shards_invalidated"],
         }
 
     async def drop_instance(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace as dataclass_replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.datamodel.facts import Constant, Fact
-from repro.datamodel.instance import BlockKey, DatabaseInstance, canonical_shard_slot
+from repro.datamodel.instance import BlockKey, DatabaseInstance
 from repro.engine.plan import schema_fingerprint
 from repro.exceptions import ReproError
 from repro.obs.caches import label_instance
@@ -73,12 +73,6 @@ class RegisteredInstance:
     ``version`` is the monotonic write-path version: 1 at first
     registration, bumped by every mutation or replacement, preserved across
     restarts by the durable store.
-
-    ``shard_versions`` is the per-shard-slot invalidation vector: one
-    counter per canonical shard slot (:func:`canonical_shard_slot`), bumped
-    for exactly the slots a mutation's touched blocks map to.  It is
-    ephemeral — reset to zeros at (re-)registration and boot — because it
-    only exists to tell clients and caches *which* slots a write moved.
     """
 
     name: str
@@ -87,7 +81,6 @@ class RegisteredInstance:
     registered_at: float
     shards: int = 1
     version: int = 1
-    shard_versions: Tuple[int, ...] = ()
 
     def describe(self) -> Dict[str, object]:
         """The JSON-facing description used by ``GET /instances``."""
@@ -102,7 +95,6 @@ class RegisteredInstance:
             "registered_at": self.registered_at,
             "shards": self.shards,
             "version": self.version,
-            "shard_versions": list(self.shard_versions or (0,) * self.shards),
         }
 
 
@@ -111,18 +103,13 @@ class MutationOutcome:
     """What one committed write did: the new entry plus its delta footprint.
 
     ``touched_blocks`` are the block keys the ops landed in (in first-touch
-    order), ``shards_invalidated`` the canonical shard slots those blocks
-    map to, and ``base_data_version`` the instance's mutation token *before*
-    the write — together exactly what the serving layer needs to ship a
-    fact delta to the worker pool and report the write's blast radius to
-    the client.  Passthrough accessors keep pre-outcome callers working.
+    order), reported to the client as the write's footprint.  Passthrough
+    accessors keep pre-outcome callers working.
     """
 
     entry: RegisteredInstance
     applied: Tuple[MutationOp, ...]
     touched_blocks: Tuple[BlockKey, ...]
-    shards_invalidated: Tuple[int, ...]
-    base_data_version: int
 
     @property
     def name(self) -> str:
@@ -234,7 +221,6 @@ class InstanceRegistry:
                 registered_at=time.time(),
                 shards=shards,
                 version=version,
-                shard_versions=(0,) * shards,
             )
             if self._store is not None and persist:
                 if old is not None:
@@ -338,8 +324,7 @@ class InstanceRegistry:
         ``expected_version`` set, a concurrent writer having bumped the
         version first fails the precondition (HTTP 409) instead of silently
         interleaving.  Returns a :class:`MutationOutcome` carrying the new
-        entry plus the write's delta footprint (touched blocks, invalidated
-        shard slots, the pre-write data version).
+        entry plus the write's touched blocks.
         """
         if not ops:
             raise MutationError("mutation requires at least one op")
@@ -359,17 +344,8 @@ class InstanceRegistry:
                     f"instance {name!r} is at version {entry.version}, "
                     f"expected_version was {expected_version}"
                 )
-            base_data_version = entry.instance.data_version
             mutated, applied, touched = self._apply_ops(entry, ops)
             version = entry.version + 1
-            slots = tuple(
-                sorted({canonical_shard_slot(key, entry.shards) for key in touched})
-            )
-            shard_versions = list(entry.shard_versions)
-            if len(shard_versions) != entry.shards:
-                shard_versions = [0] * entry.shards
-            for slot in slots:
-                shard_versions[slot] += 1
             if self._store is not None:
                 self._store.mutate(
                     name,
@@ -378,12 +354,7 @@ class InstanceRegistry:
                     instance=mutated,
                     shards=entry.shards,
                 )
-            new_entry = dataclass_replace(
-                entry,
-                instance=mutated,
-                version=version,
-                shard_versions=tuple(shard_versions),
-            )
+            new_entry = dataclass_replace(entry, instance=mutated, version=version)
             with self._lock:
                 self._instances[name] = new_entry
             self._notify("mutate", name)
@@ -391,8 +362,6 @@ class InstanceRegistry:
             entry=new_entry,
             applied=tuple(applied),
             touched_blocks=touched,
-            shards_invalidated=slots,
-            base_data_version=base_data_version,
         )
 
     def drop(

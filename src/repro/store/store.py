@@ -198,22 +198,12 @@ class InstanceStore:
     def _log_of(self, name: str) -> FactLog:
         return FactLog(os.path.join(self._dir_of(name), _LOG))
 
-    def snapshot_path(self, name: str, current_only: bool = True) -> Optional[str]:
-        """The on-disk snapshot file for ``name`` (or ``None``).
-
-        With ``current_only`` (the default) the path is returned only when
-        the log has no pending records, i.e. when the snapshot alone
-        reflects the full instance state.
-        """
+    def snapshot_path(self, name: str) -> Optional[str]:
+        """The on-disk snapshot file for ``name``, or ``None`` when there is
+        none.  Records still pending in the log are not in it."""
         with self._lock:
             path = os.path.join(self._dir_of(name), _SNAPSHOT)
-            if not os.path.exists(path):
-                return None
-            if current_only:
-                meta = self._meta_of(name)
-                if meta is None or meta[1] > 0 or meta[2]:
-                    return None
-            return path
+            return path if os.path.exists(path) else None
 
     # -- snapshot I/O ------------------------------------------------------------------
 

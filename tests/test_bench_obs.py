@@ -73,15 +73,15 @@ class TestPairedRounds:
 
     def test_overhead_is_the_median_of_paired_round_ratios(self, bench, monkeypatch):
         _scripted(monkeypatch, bench, _OFF, _ON, _SAMPLED)
-        result = asyncio.run(bench.run_bench(8, 1, 1, 3))
-        overhead = result["overhead"]
+        config, _metrics, detail = asyncio.run(bench.run_bench(8, 1, 1, 3))
+        overhead = detail["overhead"]
         assert overhead["rounds_p95_ratio"] == pytest.approx([1.3, 1.025, 1.02])
         assert overhead["p95_median_ratio"] == pytest.approx(1.025)
         assert overhead["p95_median_pct"] == pytest.approx(2.5)
         assert overhead["rounds_sampled_p95_ratio"] == pytest.approx([0.9, 1.0, 1.05])
         assert overhead["sampled_p95_median_pct"] == pytest.approx(0.0)
-        assert result["tracing_off"]["p95_median_ms"] == 20.0
-        assert result["config"]["rounds"] == 3
+        assert detail["tracing_off"]["p95_median_ms"] == 20.0
+        assert config["rounds"] == 3
 
     def test_check_overhead_gates_both_tracing_modes(
         self, bench, monkeypatch, tmp_path, capsys
@@ -90,7 +90,8 @@ class TestPairedRounds:
         argv = ["--rounds", "3", "--out", str(out), "--check-overhead", "5"]
         _scripted(monkeypatch, bench, _OFF, _ON, _SAMPLED)
         assert bench.main(argv) == 0  # +2.5% and 0.0%: inside the 5% budget
-        assert json.loads(out.read_text())["overhead"]["p95_median_pct"] == 2.5
+        report = json.loads(out.read_text())
+        assert report["detail"]["overhead"]["p95_median_pct"] == 2.5
         capsys.readouterr()
         # Sampled tracing 10% slower in every round: only its gate trips.
         _scripted(monkeypatch, bench, _OFF, _ON, [p95 * 1.1 for p95 in _OFF])

@@ -1,236 +1,193 @@
-"""Tests for the benchmark regression gate's schema-evolution tolerance.
+"""Tests for the benchmark regression gate and the committed baselines.
 
-A fresh ``BENCH_*.json`` that dropped or reshaped a key the committed
-baseline still has must skip-with-warning, not raise or hard-fail CI.
+The gate has one rule: every baseline metric must reappear in the fresh
+report with a positive number, and its regression ratio may not exceed
+``1 + bound``, with the direction and bound read from the baseline.  Every
+committed ``BENCH_*.json`` must carry the one report shape that rule reads.
 """
 
-import copy
 import importlib.util
 import json
 import os
 import statistics
+import sys
 
 import pytest
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SCRIPT = os.path.join(_ROOT, "benchmarks", "check_regression.py")
+_BENCHMARKS = os.path.join(_ROOT, "benchmarks")
 
 
-@pytest.fixture(scope="module")
-def gate():
-    spec = importlib.util.spec_from_file_location("check_regression", _SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def _module(name):
+    sys.path.insert(0, _BENCHMARKS)  # benches import their siblings by name
+    try:
+        spec = importlib.util.spec_from_file_location(
+            name, os.path.join(_BENCHMARKS, f"{name}.py")
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(_BENCHMARKS)
     return module
 
 
-BASELINE_SHARD = {
-    "queries": {
-        "q1": {
-            "best_speedup": 2.0,
-            "sharded": {"2": {"seconds": 0.5}, "4": {"seconds": 0.25}},
-        },
-        "q2": {"best_speedup": 3.0, "sharded": {"2": {"seconds": 0.1}}},
-    }
+gate = _module("check_regression")
+GATES = _module("gates").GATES
+
+
+def _report(*metrics):
+    return {"metrics": [gate.metric(*entry) for entry in metrics]}
+
+
+#: p95 may grow to 2x (bound 1.0); throughput may fall to a third (bound 2.0).
+P95 = ("p95_ms", "ms", "lower", 1.0, 10.0)
+RPS = ("throughput_rps", "1/s", "higher", 2.0, 300.0)
+BASELINE = _report(P95, RPS)
+
+
+class TestOneRule:
+    def test_identical_reports_pass(self):
+        lines, failures = gate.compare(BASELINE, BASELINE)
+        assert not failures
+        assert [line.split()[0] for line in lines] == ["ok", "ok"]
+
+    @pytest.mark.parametrize("epsilon, passes", [(-1e-6, True), (1e-6, False)])
+    def test_lower_is_better_limit_is_one_plus_bound(self, epsilon, passes):
+        fresh = _report(P95[:4] + (10.0 * (2.0 + epsilon),), RPS)
+        _lines, failures = gate.compare(BASELINE, fresh)
+        assert (not failures) is passes
+        if not passes:
+            assert failures[0].startswith("p95_ms regressed")
+
+    @pytest.mark.parametrize("epsilon, passes", [(-1e-6, True), (1e-6, False)])
+    def test_higher_is_better_limit_is_one_plus_bound(self, epsilon, passes):
+        fresh = _report(P95, RPS[:4] + (300.0 / (3.0 + epsilon),))
+        _lines, failures = gate.compare(BASELINE, fresh)
+        assert (not failures) is passes
+        if not passes:
+            assert failures[0].startswith("throughput_rps regressed")
+
+    def test_improvements_pass(self):
+        fresh = _report(P95[:4] + (1.0,), RPS[:4] + (3000.0,))
+        assert gate.compare(BASELINE, fresh)[1] == []
+
+    def test_a_baseline_metric_missing_from_fresh_fails(self):
+        _lines, failures = gate.compare(BASELINE, _report(RPS))
+        assert len(failures) == 1 and failures[0].startswith("p95_ms:")
+        assert gate.compare(BASELINE, {"schema": "v2"})[1]
+
+    @pytest.mark.parametrize("value", ["fast", True, None, 0, -1.0])
+    def test_a_non_numeric_or_non_positive_value_fails(self, value):
+        _lines, failures = gate.compare(BASELINE, _report(P95[:4] + (value,), RPS))
+        assert len(failures) == 1 and failures[0].startswith("p95_ms:")
+        _lines, failures = gate.compare(_report(P95[:4] + (value,), RPS), BASELINE)
+        assert len(failures) == 1 and failures[0].startswith("p95_ms:")
+
+    def test_a_baseline_without_metrics_fails(self):
+        assert gate.compare({"metrics": []}, BASELINE)[1]
+
+    def test_cli_takes_two_paths_and_exits_1_on_a_regression(self, tmp_path):
+        base = tmp_path / "base.json"
+        fresh = tmp_path / "fresh.json"
+        base.write_text(json.dumps(BASELINE))
+        fresh.write_text(json.dumps(BASELINE))
+        assert gate.main([str(base), str(fresh)]) == 0
+        fresh.write_text(json.dumps(_report(P95[:4] + (25.0,), RPS)))
+        assert gate.main([str(base), str(fresh)]) == 1
+        with pytest.raises(SystemExit):
+            gate.main(["--kind", "serve", str(base), str(fresh)])
+
+
+def _committed(name):
+    with open(os.path.join(_ROOT, f"BENCH_{name}.json"), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+#: The metrics each baseline gates; the shard and scenarios baselines gate
+#: each query's best speedup and its wall-clock at every shard count.
+FIXED_METRICS = {
+    "serve": {"throughput_rps", "p95_ms"},
+    "obs": {
+        "tracing_off.p95_median_ms",
+        "tracing_on.p95_median_ms",
+        "tracing_sampled.p95_median_ms",
+        "overhead.p95_median_ratio",
+    },
+    "incremental": {"point_write.speedup_vs_full", "point_write.cached_s_median"},
+    "control": {"cost_predictive.cheap.success_rate", "cost_predictive.cheap.p95_ms"},
+    "store": set(),
 }
 
-
-class TestShardMetricsTolerance:
-    def test_identical_reports_compare_cleanly(self, gate):
-        lines, failures = gate.compare("shard", BASELINE_SHARD, BASELINE_SHARD, 2.0)
-        assert not failures
-        assert all("ok" in line for line in lines)
-
-    def test_fresh_missing_key_is_skipped_not_keyerror(self, gate):
-        fresh = {
-            "queries": {
-                "q1": {"sharded": {"4": {"seconds": 0.3}}},  # best_speedup gone
-                "q2": {"best_speedup": 3.1},  # sharded table gone
-            }
-        }
-        lines, failures = gate.compare("shard", BASELINE_SHARD, fresh, 2.0)
-        assert not failures
-        assert any("skip" in line for line in lines)
-
-    def test_reshaped_entries_do_not_raise(self, gate):
-        fresh = {
-            "queries": {
-                "q1": ["not", "an", "object"],
-                "q2": {"best_speedup": 3.0, "sharded": "reshaped"},
-            }
-        }
-        lines, failures = gate.compare("shard", BASELINE_SHARD, fresh, 2.0)
-        assert not failures
-        baseline_bad = {
-            "queries": {
-                "q1": {"best_speedup": 2.0, "sharded": {"2": "weird"}},
-                "q2": True,
-            }
-        }
-        lines, failures = gate.compare("shard", baseline_bad, BASELINE_SHARD, 2.0)
-        assert not failures
-
-    def test_queries_table_of_wrong_type_yields_no_metrics(self, gate):
-        assert gate._shard_metrics({"queries": "gone"}, BASELINE_SHARD) == []
-        assert gate._shard_metrics(BASELINE_SHARD, {}) == []
-
-    def test_real_regression_still_fails(self, gate):
-        fresh = {
-            "queries": {
-                "q1": {
-                    "best_speedup": 0.5,  # 4x worse than the 2.0 baseline
-                    "sharded": {"2": {"seconds": 0.5}, "4": {"seconds": 0.25}},
-                },
-                "q2": {"best_speedup": 3.0, "sharded": {"2": {"seconds": 0.1}}},
-            }
-        }
-        _lines, failures = gate.compare("shard", BASELINE_SHARD, fresh, 2.0)
-        assert failures and "q1.best_speedup" in failures[0]
-
-    def test_scenarios_kind_shares_the_shard_comparator(self, gate):
-        """``--kind scenarios`` gates the (scenario, aggregate) matrix
-        through the same per-query comparator as ``shard``."""
-        baseline = {
-            "queries": {
-                "near_total_inconsistency.AVG": {
-                    "best_speedup": 120.0,
-                    "sharded": {"2": {"seconds": 0.004}, "4": {"seconds": 0.006}},
-                }
-            }
-        }
-        lines, failures = gate.compare("scenarios", baseline, baseline, 3.0)
-        assert not failures
-        assert any(
-            "near_total_inconsistency.AVG.best_speedup" in line for line in lines
-        )
-        regressed = {
-            "queries": {
-                "near_total_inconsistency.AVG": {
-                    "best_speedup": 10.0,  # 12x worse
-                    "sharded": {"2": {"seconds": 0.004}, "4": {"seconds": 0.006}},
-                }
-            }
-        }
-        _lines, failures = gate.compare("scenarios", baseline, regressed, 3.0)
-        assert failures and "best_speedup" in failures[0]
-
-    def test_incremental_kind_gates_speedup_and_latency(self, gate):
-        baseline = {
-            "point_write": {"speedup_vs_full": 8.0, "cached_s_median": 0.8}
-        }
-        lines, failures = gate.compare("incremental", baseline, baseline, 2.0)
-        assert not failures
-        assert any("point_write.speedup_vs_full" in line for line in lines)
-        regressed = {
-            "point_write": {"speedup_vs_full": 1.5, "cached_s_median": 0.9}
-        }
-        _lines, failures = gate.compare("incremental", baseline, regressed, 2.0)
-        assert failures and "speedup_vs_full" in failures[0]
-        reshaped = {"point_write": "gone"}
-        lines, failures = gate.compare("incremental", baseline, reshaped, 2.0)
-        assert not failures
-        assert all("skip" in line for line in lines)
-
-    def test_non_numeric_values_are_skipped(self, gate):
-        baseline = {"throughput_rps": 100.0, "p95_ms": 5.0}
-        fresh = {"throughput_rps": "fast", "p95_ms": True}
-        lines, failures = gate.compare("serve", baseline, fresh, 2.0)
-        assert not failures
-        assert all("skip" in line for line in lines)
+#: Every gated bound is 1.0 (at most 2x worse) but the scenarios' 2.0 (3x).
+BOUNDS = {"scenarios": 2.0}
 
 
-class TestGateCli:
-    def _write(self, tmp_path, name, payload):
-        import json
-
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_no_comparable_metrics_warns_and_exits_zero(self, gate, tmp_path, capsys):
-        baseline = self._write(tmp_path, "base.json", BASELINE_SHARD)
-        fresh = self._write(tmp_path, "fresh.json", {"schema": "v2"})
-        assert (
-            gate.main(["--kind", "shard", "--baseline", baseline, "--fresh", fresh])
-            == 0
-        )
-        assert "no comparable metrics" in capsys.readouterr().err
-
-    def test_all_skipped_metrics_also_warn_and_exit_zero(self, gate, tmp_path, capsys):
-        """Metrics that exist but are all skipped must count as 'nothing
-        gated' — SERVE_METRICS is static, so skips alone must trigger the
-        warning path, not a silent pass."""
-        baseline = self._write(
-            tmp_path, "base.json", {"throughput_rps": 100.0, "p95_ms": 5.0}
-        )
-        fresh = self._write(tmp_path, "fresh.json", {"schema": "v2"})
-        args = ["--kind", "serve", "--baseline", baseline, "--fresh", fresh]
-        assert gate.main(args) == 0
-        assert "no comparable metrics" in capsys.readouterr().err
-        assert gate.main(args + ["--require-metrics"]) == 1
-
-    def test_require_metrics_restores_strictness(self, gate, tmp_path):
-        baseline = self._write(tmp_path, "base.json", BASELINE_SHARD)
-        fresh = self._write(tmp_path, "fresh.json", {"schema": "v2"})
-        assert (
-            gate.main(
-                [
-                    "--kind",
-                    "shard",
-                    "--baseline",
-                    baseline,
-                    "--fresh",
-                    fresh,
-                    "--require-metrics",
-                ]
-            )
-            == 1
-        )
+def _gated(name, report):
+    if name not in ("shard", "scenarios"):
+        return FIXED_METRICS[name]
+    names = set()
+    for query in report["detail"]["queries"]:
+        names.add(f"{query}.best_speedup")
+        for shards in report["config"]["shards"]:
+            names.add(f"{query}.sharded[{shards}].seconds")
+    return names
 
 
 class TestCommittedBaselines:
-    """A metric a committed baseline lacks is skipped, so it gates nothing:
-    each baseline must carry every metric its gate reads."""
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_baseline_has_the_one_shape(self, name):
+        report = _committed(name)
+        assert set(report) == {"benchmark", "host", "config", "metrics", "detail"}
+        assert report["benchmark"] == name
+        host = report["host"]
+        assert host["nproc"] >= 1
+        assert host["python"] and host["commit"] and host["source_sha256"]
+        names = [entry["name"] for entry in report["metrics"]]
+        assert len(names) == len(set(names))
+        for entry in report["metrics"]:
+            assert entry["name"] and entry["unit"]
+            assert entry["better"] in ("lower", "higher")
+            assert entry["bound"] >= 0
+            value = entry["value"]
+            assert isinstance(value, (int, float)) and not isinstance(value, bool)
+            assert value > 0
 
-    @staticmethod
-    def _committed(name):
-        with open(os.path.join(_ROOT, name), "r", encoding="utf-8") as handle:
-            return json.load(handle)
+    def test_baselines_come_from_one_tree(self):
+        digests = {_committed(name)["host"]["source_sha256"] for name in GATES}
+        assert len(digests) == 1
 
-    @staticmethod
-    def _gated(lines):
-        return [line.split()[1].rstrip(":") for line in lines]
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_baseline_gates_its_metrics_with_their_bound(self, name):
+        report = _committed(name)
+        assert {entry["name"] for entry in report["metrics"]} == _gated(name, report)
+        for entry in report["metrics"]:
+            assert entry["bound"] == BOUNDS.get(name, 1.0)
 
-    def test_control_gate_reads_the_cheap_admission_metrics(self, gate):
-        baseline = self._committed("BENCH_control.json")
-        lines, failures = gate.compare("control", baseline, baseline, 2.0)
-        assert not failures
-        assert all(line.split()[0] == "ok" for line in lines)
-        assert self._gated(lines) == [
-            "cost_predictive.cheap.success_rate",
-            "cost_predictive.cheap.p95_ms",
-        ]
-        regressed = copy.deepcopy(baseline)
-        regressed["cost_predictive"]["cheap"]["p95_ms"] *= 3
-        _lines, failures = gate.compare("control", baseline, regressed, 2.0)
-        assert len(failures) == 1
-        assert "cost_predictive.cheap.p95_ms" in failures[0]
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_baseline_was_measured_with_the_settings_ci_runs(self, name):
+        bench = _module(f"bench_{name}")
+        args = vars(bench.build_parser().parse_args(GATES[name].split()))
+        config = _committed(name)["config"]
+        for setting, value in args.items():
+            # every option but the output path and the contracts is a setting
+            if setting != "out" and not setting.startswith(("check_", "min_")):
+                assert config[setting] == value, setting
 
-    def test_obs_gate_reads_the_paired_median_ratio(self, gate):
-        baseline = self._committed("BENCH_obs.json")
-        overhead = baseline["overhead"]
-        # The baseline's overhead is the median of its per-round ratios.
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_ci_runs_the_bench_with_the_shared_settings_and_compares(self, name):
+        path = os.path.join(_ROOT, ".github", "workflows", "ci.yml")
+        with open(path, encoding="utf-8") as handle:
+            workflow = handle.read()
+        assert f"python benchmarks/gates.py {name}\n" in workflow
+        compared = f"check_regression.py BENCH_{name}.json BENCH_{name}.fresh.json"
+        assert (compared in workflow) is bool(_committed(name)["metrics"])
+
+    def test_obs_baseline_gates_the_paired_median_ratio(self):
+        report = _committed("obs")
+        overhead = report["detail"]["overhead"]
         assert overhead["p95_median_ratio"] == pytest.approx(
             statistics.median(overhead["rounds_p95_ratio"]), abs=1e-4
         )
-        assert len(overhead["rounds_p95_ratio"]) == baseline["config"]["rounds"]
-        lines, failures = gate.compare("obs", baseline, baseline, 2.0)
-        assert not failures
-        assert all(line.split()[0] == "ok" for line in lines)
-        assert "overhead.p95_median_ratio" in self._gated(lines)
-        assert len(lines) == 4
-        regressed = copy.deepcopy(baseline)
-        regressed["overhead"]["p95_median_ratio"] *= 2.5
-        _lines, failures = gate.compare("obs", baseline, regressed, 2.0)
-        assert len(failures) == 1
-        assert "overhead.p95_median_ratio" in failures[0]
+        assert len(overhead["rounds_p95_ratio"]) == report["config"]["rounds"]
+        gated = {entry["name"]: entry["value"] for entry in report["metrics"]}
+        assert gated["overhead.p95_median_ratio"] == overhead["p95_median_ratio"]

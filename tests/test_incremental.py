@@ -21,7 +21,7 @@ import threading
 import pytest
 
 from repro.datamodel.facts import Fact
-from repro.datamodel.instance import DatabaseInstance, canonical_shard_slot
+from repro.datamodel.instance import DatabaseInstance
 from repro.engine import (
     AnswerOptions,
     ConsistentAnswerEngine,
@@ -378,17 +378,12 @@ class TestConcurrentMutateAnswer:
             try:
                 for i in range(25):
                     # Fresh block per write (new product key): every write
-                    # invalidates exactly one shard slot.
+                    # touches exactly one block.
                     outcome = registry.mutate(
                         "w",
                         [("add_fact", "Stock", (f"delta-p{i}", "town0", i + 1))],
                     )
                     assert len(outcome.touched_blocks) == 1
-                    assert len(outcome.shards_invalidated) == 1
-                    expected_slot = canonical_shard_slot(
-                        outcome.touched_blocks[0], 3
-                    )
-                    assert outcome.shards_invalidated == (expected_slot,)
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
             finally:
@@ -422,7 +417,6 @@ class TestConcurrentMutateAnswer:
         assert not errors, errors[0]
         entry = registry.get("w")
         assert entry.version == 26
-        assert sum(entry.shard_versions) == 25
 
 
 # -- AnswerOptions front door ------------------------------------------------------------
@@ -434,8 +428,6 @@ class TestAnswerOptions:
             AnswerOptions(shards=0)
         with pytest.raises(ValueError):
             AnswerOptions(max_workers=0)
-        with pytest.raises(ValueError):
-            AnswerOptions(deadline=0.0)
 
     def test_positional_and_keyword_options_agree(self, repro_seed):
         engine = _engine()

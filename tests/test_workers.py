@@ -652,9 +652,17 @@ class TestServeWorkerMode:
             )
             await server.start()
             try:
-                import benchmarks.bench_serve as bench
-
-                server.registry.register("workload", bench.workload_instance(120))
+                # bench_serve.py's CPU-bound instance at 120 facts
+                spec = WorkloadSpec(
+                    dealers=12,
+                    products=12,
+                    towns=6,
+                    stock_facts=120,
+                    inconsistency=0.2,
+                    seed=7,
+                )
+                instance = InconsistentDatabaseGenerator(spec).generate()
+                server.registry.register("workload", instance)
                 group_query = "(t, SUM(y)) <- Stock(p, t, y)"
 
                 async def one_request(client):
