@@ -13,9 +13,11 @@ BY workload, then measures the tentpole of PR 9 from three angles:
 * ``parity_vs_rebuild`` — the incremental answer is compared against a
   from-scratch rebuild of the same fact set (fresh lineage, so it cannot
   share a single cache entry); a fast wrong answer fails the run;
-* the ``delta`` section times the worker-pool write path: shipping a fact
-  delta to a resident instance (``apply_named_delta`` + re-answer) versus
-  a full re-pickle (``ref_for`` + re-answer).
+* the ungated ``delta`` section times the worker-pool write path in
+  alternating pairs: shipping a fact delta to a resident instance
+  (``apply_named_delta`` + a 2 ms re-answer) versus a full re-pickle
+  (``ref_for`` + the same re-answer); it reports each path's median and
+  the median and interquartile range of the per-pair ratio.
 
 The gated metrics are ``speedup_vs_full`` and ``cached_s_median`` (see
 ``check_regression.py``).
@@ -50,8 +52,10 @@ from repro.engine import (
     summary_cache_stats,
 )
 from repro.engine.sharding import STRATEGY_HASHED
+from repro.query.parser import parse_aggregation_query
 from repro.workloads.generators import InconsistentDatabaseGenerator, WorkloadSpec
-from repro.workloads.queries import stock_query, stock_town_groupby_query
+from repro.workloads.queries import stock_town_groupby_query
+from repro.workloads.scenarios import fig1_stock_schema
 
 
 def _timed(fn):
@@ -130,41 +134,59 @@ def bench_point_write(instance, shards: int, writes: int) -> dict:
     }
 
 
+#: Timed (delta, re-ship) pairs; the first path alternates between pairs.
+DELTA_PAIRS = 10
+
+
 def bench_delta_shipping(instance) -> dict:
-    # One dealer's towns keep the worker's unsharded re-answer short
-    # (about 0.5 s on 3,867 facts), so the round trips show the shipping.
-    query = stock_query("MIN", "dealer0")
+    """Time the two ways a point write reaches a worker's resident copy.
+
+    The query reads one Dealers block, so the worker answers it in about
+    2 ms and each round trip measures the shipping: a one-op delta the
+    worker fast-forwards in place, or a full re-pickle it reloads.  Each of
+    ``DELTA_PAIRS`` pairs times both paths on consecutive writes, delta
+    first in even pairs and re-ship first in odd ones.
+    """
+    query = parse_aggregation_query(
+        fig1_stock_schema(), "COUNT(1) <- Dealers('dealer0', t)"
+    )
+    state = instance
+    step = 0
+
+    def round_trip(pool, delta: bool) -> float:
+        nonlocal state, step
+        step += 1
+        previous, state = state, _point_write(state, step)
+        started = time.perf_counter()
+        if delta:
+            ops = [("remove", fact) for fact in previous.facts - state.facts]
+            pool.apply_named_delta("bench", state, ops)
+        else:
+            pool.ref_for(state, name="bench")
+        pool.answer(query, state, name="bench")
+        return time.perf_counter() - started
+
     with WorkerPool(workers=1) as pool:
-        pool.ref_for(instance, name="bench")
-        pool.answer(query, instance, name="bench")  # warm resident
-
-        # Delta path: one-op ship, worker fast-forwards the resident.
-        delta_state = _point_write(instance, 1)
-        ops = [
-            ("remove", fact)
-            for fact in instance.facts - delta_state.facts
-        ]
-        def delta_round_trip():
-            pool.apply_named_delta("bench", delta_state, ops)
-            return pool.answer(query, delta_state, name="bench")
-        _, delta_s = _timed(delta_round_trip)
-
-        # Reship path: full re-pickle of the next state, worker reloads.
-        reship_state = _point_write(delta_state, 2)
-        def reship_round_trip():
-            pool.ref_for(reship_state, name="bench")
-            return pool.answer(query, reship_state, name="bench")
-        _, reship_s = _timed(reship_round_trip)
-
+        pool.ref_for(state, name="bench")
+        pool.answer(query, state, name="bench")  # warm resident
+        delta_s, reship_s = [], []
+        for pair in range(DELTA_PAIRS):
+            for delta in (True, False) if pair % 2 == 0 else (False, True):
+                (delta_s if delta else reship_s).append(round_trip(pool, delta))
         stats = pool.stats()
         counters = {
             key: sum(w.get(key, 0) for w in stats["per_worker"])
             for key in ("delta_applies", "delta_fallbacks", "instance_loads")
         }
+    ratios = [reship / delta for delta, reship in zip(delta_s, reship_s)]
+    q1, ratio_median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     return {
-        "delta_round_trip_s": round(delta_s, 4),
-        "reship_round_trip_s": round(reship_s, 4),
-        "reship_over_delta": round(reship_s / delta_s, 3) if delta_s else None,
+        "pairs": DELTA_PAIRS,
+        "delta_round_trip_ms_median": round(statistics.median(delta_s) * 1e3, 3),
+        "reship_round_trip_ms_median": round(statistics.median(reship_s) * 1e3, 3),
+        "reship_over_delta_median": round(ratio_median, 3),
+        "reship_over_delta_iqr": round(q3 - q1, 3),
+        "reship_over_delta_all": [round(r, 3) for r in ratios],
         "delta_ships": stats["delta_ships"],
         "delta_reships": stats["delta_reships"],
         **counters,

@@ -39,6 +39,7 @@ import sys
 from bench_serve import mixed_workload
 from check_regression import metric, write_report
 
+from repro.obs import set_tracing
 from repro.serve.app import ConsistentAnswerServer, ServeConfig
 from repro.serve.client import LoadGenerator
 
@@ -63,13 +64,14 @@ async def run_load(
     ``warmup`` requests run through the same server first and are discarded:
     they populate the plan cache, the thread pool, and the page cache, so
     the measured run starts from the same warm state in every mode.
+    Tracing is a process-wide switch, so it is set here, before the boot.
     """
+    set_tracing(tracing)
     server = ConsistentAnswerServer(
         ServeConfig(
             port=0,
             workers=threads,
             max_pending=max(64, requests),
-            tracing=tracing,
             trace_sample=trace_sample,
         )
     )

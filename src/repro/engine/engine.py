@@ -119,7 +119,7 @@ class ConsistentAnswerEngine:
         self,
         backend: str = "operational",
         fallback: str = "branch_and_bound",
-        plan_cache_size: int = 128,
+        plan_cache_size: int = 256,
     ) -> None:
         self._backend_name = backend
         self._fallback_name = fallback

@@ -29,19 +29,6 @@ from typing import Any, Dict, List, Optional
 from repro.obs.caches import PlanCache
 from repro.obs.trace import current_span
 
-#: The domain counters fed by the engine/sharding/worker/store span sites.
-DOMAIN_COUNTERS = (
-    "facts_scanned",
-    "blocks_touched",
-    "repairs_expanded",
-    "shard_fallbacks",
-    "store_fsyncs",
-    "summary_states",
-    "summary_cache_hits",
-    "summary_cache_misses",
-)
-
-
 def add_cost(key: str, amount: float = 1) -> None:
     """Accumulate a domain counter on the active span (no-op untraced)."""
     span = current_span()

@@ -21,7 +21,6 @@ OTLP-tolerant backend or ad-hoc tooling without a translation step.
 
 from __future__ import annotations
 
-import gzip
 import json
 import queue
 import threading
@@ -130,18 +129,11 @@ class SpanExporter:
         retries: int = 3,
         backoff_s: float = 0.2,
         service_name: str = "repro-serve",
-        compression: Optional[str] = None,
     ) -> None:
         if not target:
             raise ValueError("SpanExporter requires a file path or URL target")
-        if compression not in (None, "gzip"):
-            raise ValueError(
-                f"SpanExporter compression must be None or 'gzip', "
-                f"got {compression!r}"
-            )
         self.target = target
         self._is_http = target.startswith(("http://", "https://"))
-        self._compression = compression
         self._queue: "queue.Queue[Dict[str, Any]]" = queue.Queue(maxsize=queue_size)
         self._batch_size = max(1, batch_size)
         self._flush_interval_s = max(0.01, flush_interval_s)
@@ -211,7 +203,6 @@ class SpanExporter:
         return {
             "target": self.target,
             "sink": "http" if self._is_http else "file",
-            "compression": self._compression,
             "running": self.is_running,
             "pending": pending,
             "exported": counter.value(result="exported"),
@@ -274,21 +265,13 @@ class SpanExporter:
                 time.sleep(self._backoff_s * (2**attempt))
 
     def _deliver(self, payload: str) -> None:
-        """Deliver one encoded batch (overridable for tests).
-
-        With ``compression="gzip"`` the HTTP sink posts a gzip body with
-        ``Content-Encoding: gzip`` (the OTLP/HTTP spec's optional payload
-        compression — collectors advertise support universally); the file
-        sink stays plain NDJSON so the file remains greppable.
-        """
+        """Deliver one encoded batch (overridable for tests)."""
         if self._is_http:
-            body = payload.encode("utf-8")
-            headers = {"Content-Type": "application/json"}
-            if self._compression == "gzip":
-                body = gzip.compress(body)
-                headers["Content-Encoding"] = "gzip"
             request = urllib.request.Request(
-                self.target, data=body, headers=headers, method="POST"
+                self.target,
+                data=payload.encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+                method="POST",
             )
             with urllib.request.urlopen(request, timeout=5.0):
                 pass

@@ -15,6 +15,11 @@ per-worker caches, crash respawn), and ``/answer_many`` batches fan out
 across it.  Without it the server executes on the ``--threads``-sized
 thread pool and runs batches serially.  Every setting is a flag: the
 server reads no environment variables.
+
+Each option sets one :class:`~repro.serve.app.ServeConfig` field
+(``--threads`` sets ``workers``, ``--workers`` sets ``worker_processes``),
+except ``--no-tracing`` and ``--log-level``: they are process-wide
+switches, which :func:`main` applies before the server boots.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import argparse
 import asyncio
 import sys
 
+from repro.obs import set_log_level, set_tracing
 from repro.serve.app import SERVER_NAME, ServeConfig, run_server
 
 
@@ -56,11 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine backend for rewriting-based execution (operational, sqlite, ...)",
     )
     parser.add_argument(
-        "--fallback",
-        default=defaults.fallback,
-        help="backend for non-rewritable directions",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -89,22 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request execution budget (504 when exceeded)",
     )
     parser.add_argument(
-        "--plan-cache-size", type=int, default=defaults.plan_cache_size
-    )
-    parser.add_argument(
         "--store-dir",
         default=None,
         metavar="DIR",
         help="durable instance store: persist registered instances and "
         "mutations under DIR and reload them at boot",
-    )
-    parser.add_argument(
-        "--store-compact-every",
-        type=int,
-        default=defaults.store_compact_every,
-        metavar="N",
-        help="fold an instance's fact log into a fresh snapshot every N "
-        "records (0 disables auto-compaction)",
     )
     parser.add_argument(
         "--no-builtins",
@@ -114,14 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-tracing",
         action="store_true",
-        help="disable the per-request span tree (trace ids still echo)",
-    )
-    parser.add_argument(
-        "--trace-buffer",
-        type=int,
-        default=defaults.trace_buffer,
-        metavar="N",
-        help="how many finished traces GET /traces/{id} can look up",
+        help="disable the per-request span tree in this process (trace ids "
+        "still echo)",
     )
     parser.add_argument(
         "--slow-query-ms",
@@ -140,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "are always kept); default: trace every request",
     )
     parser.add_argument(
-        "--summary-cache-size",
-        type=int,
-        default=defaults.summary_cache_size,
-        metavar="N",
-        help="shard summary-cache capacity in entries (0 disables caching)",
-    )
-    parser.add_argument(
         "--max-queue-cost-ms",
         type=float,
         default=None,
@@ -163,16 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
         "or POST batches to an http(s) URL",
     )
     parser.add_argument(
-        "--otlp-gzip",
-        action="store_true",
-        help="gzip-compress OTLP HTTP batches (Content-Encoding: gzip); "
-        "ignored for file targets",
-    )
-    parser.add_argument(
         "--log-level",
         default=None,
         choices=("debug", "info", "warning", "error"),
-        help="structured-log threshold (default: info)",
+        help="structured-log threshold of this process (default: info)",
     )
     return parser
 
@@ -182,33 +153,29 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         host=args.host,
         port=args.port,
         backend=args.backend,
-        fallback=args.fallback,
-        plan_cache_size=args.plan_cache_size,
         workers=args.threads,
         max_pending=args.max_pending,
         request_timeout_s=args.request_timeout,
         register_builtins=not args.no_builtins,
         worker_processes=max(0, args.workers),
         store_dir=args.store_dir,
-        store_compact_every=max(0, args.store_compact_every),
-        tracing=not args.no_tracing,
-        trace_buffer=max(1, args.trace_buffer),
         slow_query_ms=args.slow_query_ms,
         trace_sample=args.trace_sample,
-        summary_cache_size=max(0, args.summary_cache_size),
         max_queue_cost_ms=(
             args.max_queue_cost_ms
             if args.max_queue_cost_ms is not None and args.max_queue_cost_ms > 0
             else None
         ),
         otlp_export=args.otlp_export,
-        otlp_gzip=args.otlp_gzip,
-        log_level=args.log_level,
     )
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Process-wide switches: set once here, never by building a server.
+    set_tracing(not args.no_tracing)
+    if args.log_level:
+        set_log_level(args.log_level)
     try:
         asyncio.run(run_server(config_from_args(args)))
     except KeyboardInterrupt:

@@ -78,7 +78,6 @@ from repro.engine import (
     shard_plan_cache_stats,
     sql_memo_stats,
 )
-from repro.engine.sharding import configure_summary_cache
 from repro.engine.cancellation import CancelToken, JobCancelledError, token_scope
 from repro.exceptions import (
     BackendError,
@@ -99,7 +98,6 @@ from repro.obs import (
     TraceSampler,
     get_logger,
     render_prometheus,
-    set_log_level,
 )
 from repro.obs.admission import (
     REASON_COLD_KEY,
@@ -117,7 +115,6 @@ from repro.obs.trace import (
     current_span,
     current_trace_id,
     new_trace_id,
-    set_tracing,
     start_trace,
 )
 from repro.query.aggregation import AggregationQuery
@@ -147,6 +144,9 @@ from repro.serve.registry import (
 from repro.store import InstanceStore
 
 SERVER_NAME = "repro-serve"
+
+#: A ``Content-Length`` above this answers 413 before any body byte is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 _LOG = get_logger("serve")
 _TRACE_HEADER_LOWER = TRACE_HEADER.lower()
@@ -289,7 +289,7 @@ def _default_workers() -> int:
 
 @dataclass
 class ServeConfig:
-    """Boot configuration of the serving layer.
+    """Boot configuration of one server: the settings a deployment sets.
 
     ``workers`` sizes the engine thread pool (``None`` → cpu-derived);
     ``max_pending`` bounds the admission queue beyond the in-flight slots.
@@ -309,27 +309,24 @@ class ServeConfig:
 
     ``store_dir`` opts into durability: registered instances and their
     mutations persist under that directory and are reloaded at boot.
-    ``store_compact_every`` is the per-instance log depth at which the
-    store folds the log into a fresh snapshot (0 disables auto-compaction).
+
+    Everything else is a library default (a 256-plan cache, the
+    ``branch_and_bound`` fallback, compaction every 64 log records, a
+    256-trace buffer, uncompressed OTLP batches, :data:`MAX_BODY_BYTES`).
+    Tracing, the log level and the summary-cache capacity are process-wide,
+    set by ``set_tracing``, ``set_log_level`` and ``configure_summary_cache``;
+    building a server changes none of them.
     """
 
     host: str = "127.0.0.1"
     port: int = 8421
     backend: str = "operational"
-    fallback: str = "branch_and_bound"
-    plan_cache_size: int = 256
     workers: Optional[int] = None
     max_pending: int = 64
     request_timeout_s: float = 30.0
-    max_body_bytes: int = 16 * 1024 * 1024
     register_builtins: bool = True
     worker_processes: int = 0
     store_dir: Optional[str] = None
-    store_compact_every: int = 64
-    #: Per-process tracing switch; off turns every span site into a no-op.
-    tracing: bool = True
-    #: How many finished traces ``GET /traces/{id}`` can still see.
-    trace_buffer: int = 256
     #: Requests at or above this wall time (ms) log their full span tree;
     #: ``None`` disables the slow-query log, ``0`` logs every request.
     slow_query_ms: Optional[float] = None
@@ -337,8 +334,6 @@ class ServeConfig:
     #: traces every request.  Slow and 5xx traces are always retained
     #: (tail keep), whatever the rate.
     trace_sample: Optional[int] = None
-    #: Entry capacity of the process-global shard-summary cache.
-    summary_cache_size: int = 512
     #: Cost-predictive admission: shed (503, ``reason="predicted_cost"``)
     #: when the predicted queued engine CPU would exceed this budget.
     #: ``None`` keeps depth-only admission.  Predictions come from the cost
@@ -348,12 +343,6 @@ class ServeConfig:
     #: OTLP/JSON export target for retained traces: an ``http(s)://`` URL
     #: (POST per batch) or a file path (NDJSON append).  ``None`` disables.
     otlp_export: Optional[str] = None
-    #: Gzip-compress OTLP HTTP batches (``Content-Encoding: gzip``); file
-    #: sinks ignore it (NDJSON stays greppable).
-    otlp_gzip: bool = False
-    #: Structured-log threshold (``debug``/``info``/``warning``/``error``);
-    #: ``None`` keeps the current level (``info`` by default).
-    log_level: Optional[str] = None
 
     def resolved_workers(self) -> int:
         return self.workers if self.workers else _default_workers()
@@ -411,58 +400,30 @@ def _classify_exception(exc: Exception) -> Tuple[int, str]:
 class ConsistentAnswerServer:
     """The serving app: registry + engine pool + router, bound to a socket."""
 
-    def __init__(
-        self,
-        config: Optional[ServeConfig] = None,
-        engine: Optional[ConsistentAnswerEngine] = None,
-        registry: Optional[InstanceRegistry] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
         workers = self.config.resolved_workers()
         pool_size = max(0, self.config.worker_processes)
-        self.engine = engine if engine is not None else ConsistentAnswerEngine(
-            backend=self.config.backend,
-            fallback=self.config.fallback,
-            plan_cache_size=self.config.plan_cache_size,
-        )
+        self.engine = ConsistentAnswerEngine(backend=self.config.backend)
         self._pool: Optional[WorkerPool] = (
             WorkerPool(workers=pool_size, engine_config=self.engine.config())
             if pool_size > 0
             else None
         )
         self.store: Optional[InstanceStore] = (
-            InstanceStore(
-                self.config.store_dir,
-                compact_every=self.config.store_compact_every,
-            )
-            if self.config.store_dir
-            else None
+            InstanceStore(self.config.store_dir) if self.config.store_dir else None
         )
-        if registry is not None:
-            if self.store is not None and registry.store is not self.store:
-                # Silently serving a store-less registry while /healthz
-                # advertises durability would lose every write on restart.
-                raise ValueError(
-                    "store_dir is configured but the explicit registry is "
-                    "not attached to it; build the registry with "
-                    "InstanceRegistry(store=...) (or omit one of the two)"
-                )
-            self.registry = registry
-        elif self.config.register_builtins:
+        if self.config.register_builtins:
             self.registry = builtin_registry(store=self.store)
         else:
             self.registry = InstanceRegistry(store=self.store)
             self.registry.load_store()
         self.registry.subscribe(self._on_registry_event)
-        set_tracing(self.config.tracing)
-        if self.config.log_level:
-            set_log_level(self.config.log_level)
-        self.traces = TraceBuffer(max(1, self.config.trace_buffer))
+        self.traces = TraceBuffer()
         self.sampler = TraceSampler(self.config.trace_sample)
         self.sampled_out = DroppedTraceLog()
         self.cost_table = CostTable()
         self.predictor = CostPredictor(self.cost_table)
-        configure_summary_cache(self.config.summary_cache_size)
         # The cost table doubles as the fifth registered cache; weakref so a
         # replaced server's table can be collected (last registration wins).
         table_ref = weakref.ref(self.cost_table)
@@ -475,12 +436,7 @@ class ConsistentAnswerServer:
             ),
         )
         self.exporter: Optional[SpanExporter] = (
-            SpanExporter(
-                self.config.otlp_export,
-                compression="gzip" if self.config.otlp_gzip else None,
-            )
-            if self.config.otlp_export
-            else None
+            SpanExporter(self.config.otlp_export) if self.config.otlp_export else None
         )
         self._lag_probe = EventLoopLagProbe()
         self._lag_task: Optional[asyncio.Task] = None
@@ -492,6 +448,7 @@ class ConsistentAnswerServer:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._address: Optional[Tuple[str, int]] = None
+        self._stopped = False
         self._routes: Dict[Tuple[str, str], Callable] = {
             ("POST", "/answer"): self._handle_answer,
             ("POST", "/answer_group_by"): self._handle_answer_group_by,
@@ -528,16 +485,16 @@ class ConsistentAnswerServer:
         The worker pool (if configured) starts *before* the socket binds:
         workers fork while the process is still single-request, and a
         port-bind failure tears the pool down again via :meth:`stop`.
+        A server object starts once: :meth:`stop` shuts its thread pool and
+        worker pool down for good, so serving again takes a new server.
         """
+        if self._stopped or self._server is not None:
+            raise RuntimeError(
+                "this server already started and cannot start again; "
+                "build a new ConsistentAnswerServer"
+            )
         if self._pool is not None and not self._pool.is_running:
-            try:
-                self._pool.start()
-            except WorkerPoolError:  # restarted server: the old pool is gone
-                self._pool = WorkerPool(
-                    workers=max(1, self.config.worker_processes),
-                    engine_config=self.engine.config(),
-                )
-                self._pool.start()
+            self._pool.start()
             self.engine.set_worker_pool(self._pool)
         if self.exporter is not None:
             self.exporter.start()
@@ -566,6 +523,7 @@ class ConsistentAnswerServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
+        self._stopped = True
         if self._lag_task is not None:
             self._lag_task.cancel()
             try:
@@ -673,12 +631,12 @@ class ConsistentAnswerServer:
             raise _HttpError(400, "ProtocolError", "bad Content-Length")
         if length < 0:
             raise _HttpError(400, "ProtocolError", "bad Content-Length")
-        if length > self.config.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise _HttpError(
                 413,
                 "ProtocolError",
                 f"request body of {length} bytes exceeds the "
-                f"{self.config.max_body_bytes} byte limit",
+                f"{MAX_BODY_BYTES} byte limit",
             )
         body = await reader.readexactly(length) if length else b""
         return _Request(

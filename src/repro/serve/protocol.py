@@ -34,8 +34,6 @@ from repro.datamodel.instance import DatabaseInstance
 from repro.datamodel.signature import RelationSignature, Schema
 from repro.exceptions import ReproError
 
-PROTOCOL_VERSION = 1
-
 _FRACTION_TAG = "$fraction"
 
 

@@ -53,12 +53,16 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.cost import add_cost
 from repro.obs.trace import span as obs_span
-from repro.store.log import FactLog, LogCorruptionWarning, LogRecord, StoreError
+from repro.store.log import (
+    _FSYNC_HELP,
+    FactLog,
+    LogCorruptionWarning,
+    LogRecord,
+    StoreError,
+)
 from repro.util import stable_hash_64
 
 _OBSLOG = get_logger("store")
-
-_FSYNC_HELP = "Latency of fact-log fsync calls on the durable write path."
 
 _FORMAT = 1
 _SNAPSHOT = "snapshot.pkl"

@@ -26,7 +26,6 @@ from repro.engine.sharding import (
 )
 from repro.obs import render_prometheus
 from repro.obs.caches import (
-    CACHE_REGISTRY,
     DEFAULT_AGE_BOUNDS,
     CacheStatsRegistry,
     PlanCache,
@@ -430,7 +429,11 @@ class TestServerCacheTelemetry:
             return body["caches"]
 
         clear_summary_cache()
-        reports = serve_scenario(scenario, summary_cache_size=4)
+        configure_summary_cache(4)
+        try:
+            reports = serve_scenario(scenario)
+        finally:
+            configure_summary_cache(512)
         by_name = {r["name"]: r for r in reports if "error" not in r}
         assert {"cost_table", "plan_cache", "sql_memo", "summary_cache"} <= set(
             by_name

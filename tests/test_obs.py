@@ -559,7 +559,8 @@ class TestServerTracing:
                 await client.trace(client.last_trace_id)
             assert excinfo.value.status == 404
 
-        serve_scenario(scenario, tracing=False)
+        set_tracing(False)  # the autouse fixture turns it back on
+        serve_scenario(scenario)
 
     def test_slow_query_log_emits_the_full_tree(self):
         captured = _Capture()
@@ -1048,12 +1049,7 @@ class TestExporter:
         with pytest.raises(ValueError):
             SpanExporter("")
 
-    def test_unknown_compression_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            SpanExporter(str(tmp_path / "x"), compression="brotli")
-
-    def test_gzip_http_sink_round_trips_valid_otlp(self, tmp_path):
-        import gzip
+    def test_http_sink_round_trips_valid_otlp(self, tmp_path):
         import http.server
         import threading
 
@@ -1077,9 +1073,8 @@ class TestExporter:
             exporter = SpanExporter(
                 f"http://127.0.0.1:{httpd.server_address[1]}/v1/traces",
                 flush_interval_s=0.05,
-                compression="gzip",
             ).start()
-            assert exporter.stats()["compression"] == "gzip"
+            assert exporter.stats()["sink"] == "http"
             assert exporter.submit(tree)
             assert exporter.flush(timeout_s=5)
             exporter.close()
@@ -1088,11 +1083,11 @@ class TestExporter:
             thread.join(timeout=5)
 
         (headers, body) = received[0]
-        assert headers["Content-Encoding"] == "gzip"
+        assert "Content-Encoding" not in headers  # batches go uncompressed
         assert headers["Content-Type"] == "application/json"
-        doc = json.loads(gzip.decompress(body).decode("utf-8"))
-        # decompressed payload is byte-identical to the NDJSON sink's line
-        # for the same trace: one re-validation path covers both sinks
+        doc = json.loads(body.decode("utf-8"))
+        # the posted payload is identical to the NDJSON sink's line for the
+        # same trace: one re-validation path covers both sinks
         path = str(tmp_path / "out.ndjson")
         file_exporter = SpanExporter(path, flush_interval_s=0.05).start()
         assert file_exporter.submit(tree)
@@ -1103,7 +1098,7 @@ class TestExporter:
         (resource,) = doc["resourceSpans"]
         (scope,) = resource["scopeSpans"]
         assert len(scope["spans"]) == 2
-        assert scope["spans"][0]["status"]["code"] == 2  # 502 survives gzip
+        assert scope["spans"][0]["status"]["code"] == 2  # 502 is an error
 
 
 # -- cost accounting ---------------------------------------------------------------------
@@ -1459,14 +1454,18 @@ class TestLogLevel:
             set_log_level("loudest")
         assert logging.getLogger("repro.obs").level == logging.INFO
 
-    def test_server_config_sets_the_level(self, captured_log):
-        async def scenario(server, client):
+    def test_cli_sets_the_level_before_the_server_boots(
+        self, captured_log, monkeypatch
+    ):
+        import repro.serve.__main__ as cli
+
+        async def fake_run_server(config):
             get_logger("test").info("should_be_filtered")
             get_logger("test").error("should_pass")
-            return None
 
+        monkeypatch.setattr(cli, "run_server", fake_run_server)
         try:
-            serve_scenario(scenario, log_level="error")
+            assert cli.main(["--log-level", "error"]) == 0
         finally:
             set_log_level("info")
         events = [json.loads(line)["event"] for line in captured_log.lines]

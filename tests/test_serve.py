@@ -1,6 +1,10 @@
 """Tests for the repro.serve subsystem: protocol, registry, app, client."""
 
 import asyncio
+import inspect
+import json
+import logging
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -9,7 +13,14 @@ from repro.core.evaluator import BOTTOM
 from repro.core.range_answers import RangeAnswer
 from repro.datamodel.instance import DatabaseInstance
 from repro.datamodel.signature import RelationSignature, Schema
-from repro.engine import ConsistentAnswerEngine, schema_fingerprint
+from repro.engine import (
+    ConsistentAnswerEngine,
+    configure_summary_cache,
+    schema_fingerprint,
+    summary_cache_stats,
+)
+from repro.obs import set_log_level, set_tracing
+from repro.obs.trace import tracing_enabled
 from repro.obs.metrics import Histogram
 from repro.query.parser import parse_aggregation_query
 from repro.serve import (
@@ -32,6 +43,8 @@ from repro.serve import (
     schema_from_payload,
     schema_to_payload,
 )
+from repro.serve.__main__ import build_parser, config_from_args, main
+from repro.serve.app import MAX_BODY_BYTES
 from repro.serve.metrics import LATENCY_BUCKETS
 from repro.workloads.scenarios import (
     fig1_stock_instance,
@@ -292,26 +305,61 @@ class TestServerErrors:
         status, body = serve_scenario(scenario)
         assert status == 400
 
-    def test_bad_json_body(self):
+    @pytest.mark.parametrize(
+        "raw, status, message",
+        [
+            (
+                b"POST /answer HTTP/1.1\r\nHost: x\r\nContent-Length: 9\r\n"
+                b"Connection: close\r\n\r\n{not json",
+                400,
+                "",
+            ),
+            (
+                b"POST /answer HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+                413,
+                "byte limit",
+            ),
+            (
+                b"POST /answer HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+                400,
+                "bad Content-Length",
+            ),
+            (
+                b"POST /answer HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+                400,
+                "bad Content-Length",
+            ),
+            (b"POST /answer\r\n", 400, "malformed request line"),
+            (b"POST /answer HTTP/1.1\r\nno colon\r\n", 400, "malformed header"),
+        ],
+        ids=[
+            "bad-json",
+            "body-over-limit",
+            "negative-length",
+            "non-integer-length",
+            "request-line",
+            "header-line",
+        ],
+    )
+    def test_framing_errors_answer_structured_and_close(self, raw, status, message):
         async def scenario(server, client):
-            host, port = server.address
-            reader, writer = await asyncio.open_connection(host, port)
-            body = b"{not json"
-            head = (
-                f"POST /answer HTTP/1.1\r\nHost: x\r\n"
-                f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
-            ).encode()
-            writer.write(head + body)
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(raw)
             await writer.drain()
-            status_line = await reader.readline()
-            rest = await reader.read()
+            # read() returns at EOF only: the server must close the connection
+            response = await asyncio.wait_for(reader.read(), timeout=10)
             writer.close()
             await writer.wait_closed()
-            return status_line, rest
+            return response
 
-        status_line, rest = serve_scenario(scenario)
-        assert b" 400 " in status_line
-        assert b"ProtocolError" in rest
+        head, _, body = serve_scenario(scenario).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"\r\nConnection: close" in head
+        error = json.loads(body)["error"]
+        assert error["type"] == "ProtocolError"
+        assert message in error["message"]
+        assert error["trace_id"]
 
     def test_unknown_route_and_wrong_method(self):
         async def scenario(server, client):
@@ -520,3 +568,122 @@ class TestServerConcurrency:
         assert health["status"] == "ok"
         assert health["instances"] == 2
         assert health["backend"] == "operational"
+
+
+class TestServerLifecycle:
+    def test_a_server_starts_once(self):
+        async def scenario():
+            server = ConsistentAnswerServer(ServeConfig(port=0, workers=2))
+            await server.start()
+            with pytest.raises(RuntimeError, match="cannot start again"):
+                await server.start()  # would leak a second listener
+            async with ServeClient(*server.address) as client:
+                assert await client.answer("stock", STOCK_SUM) == RangeAnswer(70, 96)
+            await server.stop()
+            with pytest.raises(RuntimeError, match="cannot start again"):
+                await server.start()
+
+        asyncio.run(scenario())
+
+
+#: One non-default value per ``python -m repro.serve`` option (None: a switch).
+CLI_SAMPLES = {
+    "--host": "0.0.0.0",
+    "--port": "9",
+    "--backend": "sqlite",
+    "--workers": "3",
+    "--threads": "5",
+    "--max-pending": "7",
+    "--request-timeout": "2.5",
+    "--store-dir": "instances",
+    "--no-builtins": None,
+    "--slow-query-ms": "4",
+    "--trace-sample": "3",
+    "--max-queue-cost-ms": "6",
+    "--otlp-export": "traces.ndjson",
+    "--no-tracing": None,
+    "--log-level": "error",
+}
+#: Process-wide switches: ``main()`` applies them, no ServeConfig field does.
+PROCESS_WIDE = {"--no-tracing", "--log-level"}
+
+
+class TestCommandLine:
+    def test_the_server_takes_only_its_config(self):
+        assert list(inspect.signature(ConsistentAnswerServer).parameters) == ["config"]
+
+    def test_every_option_sets_one_config_field(self):
+        parser = build_parser()
+        options = {
+            action.option_strings[-1]
+            for action in parser._actions
+            if action.option_strings and action.dest != "help"
+        }
+        assert options == set(CLI_SAMPLES)
+        default = config_from_args(parser.parse_args([]))
+        field_of = {}
+        for option, value in CLI_SAMPLES.items():
+            argv = [option] if value is None else [option, value]
+            config = config_from_args(build_parser().parse_args(argv))
+            changed = {
+                f.name
+                for f in fields(ServeConfig)
+                if getattr(config, f.name) != getattr(default, f.name)
+            }
+            if option in PROCESS_WIDE:
+                assert changed == set(), option
+            else:
+                (field_of[option],) = changed
+        assert field_of["--threads"] == "workers"
+        assert field_of["--workers"] == "worker_processes"
+        # one option per field, and every field has its option
+        assert sorted(field_of.values()) == sorted(f.name for f in fields(ServeConfig))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--plan-cache-size", "5"],
+            ["--fallback", "exhaustive"],
+            ["--store-compact-every", "5"],
+            ["--trace-buffer", "5"],
+            ["--summary-cache-size", "5"],
+            ["--otlp-gzip"],
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
+
+    def test_main_applies_the_process_wide_switches_before_the_boot(self, monkeypatch):
+        import repro.serve.__main__ as cli
+
+        seen = {}
+
+        async def fake_run_server(config):
+            seen["tracing"] = tracing_enabled()
+            seen["level"] = logging.getLogger("repro.obs").level
+
+        monkeypatch.setattr(cli, "run_server", fake_run_server)
+        try:
+            assert main(["--no-tracing", "--log-level", "warning"]) == 0
+        finally:
+            set_tracing(True)
+            set_log_level("info")
+        assert seen == {"tracing": False, "level": logging.WARNING}
+
+    def test_building_a_server_changes_no_process_wide_state(self):
+        capacity = summary_cache_stats()["capacity"]
+        set_tracing(False)
+        set_log_level("error")
+        configure_summary_cache(7)
+        try:
+            ConsistentAnswerServer(ServeConfig(port=0, workers=2))
+            assert not tracing_enabled()
+            assert logging.getLogger("repro.obs").level == logging.ERROR
+            assert summary_cache_stats()["capacity"] == 7
+        finally:
+            set_tracing(True)
+            set_log_level("info")
+            configure_summary_cache(capacity)
