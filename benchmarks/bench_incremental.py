@@ -22,9 +22,9 @@ BY workload, then measures the tentpole of PR 9 from three angles:
 The gated metrics are ``speedup_vs_full`` and ``cached_s_median`` (see
 ``check_regression.py``).
 
-Hashed shard placement is used throughout — that is the incremental
-configuration: block→shard assignment depends only on the block key, so a
-point write leaves the other shards' cache tokens intact.
+The GROUP BY places shards by a stable hash of each component's smallest
+block key (``repro.engine.sharding.placement_for``), so a point write leaves
+the other shards' cache tokens intact.
 
 Usage::
 
@@ -51,7 +51,6 @@ from repro.engine import (
     clear_summary_cache,
     summary_cache_stats,
 )
-from repro.engine.sharding import STRATEGY_HASHED
 from repro.query.parser import parse_aggregation_query
 from repro.workloads.generators import InconsistentDatabaseGenerator, WorkloadSpec
 from repro.workloads.queries import stock_town_groupby_query
@@ -92,7 +91,7 @@ def _point_write(instance, step: int):
 def bench_point_write(instance, shards: int, writes: int) -> dict:
     engine = ConsistentAnswerEngine()
     query = stock_town_groupby_query()
-    options = AnswerOptions(shards=shards, strategy=STRATEGY_HASHED)
+    options = AnswerOptions(shards=shards)
 
     clear_summary_cache()
     _, cold_s = _timed(lambda: engine.answer_group_by(query, instance, options))
@@ -201,7 +200,6 @@ def run_bench(facts: int, shards: int, writes: int, inconsistency: float, seed: 
         "instance_facts": len(instance),
         "shards": shards,
         "writes": writes,
-        "strategy": STRATEGY_HASHED,
         "inconsistency": inconsistency,
         "seed": seed,
     }

@@ -50,7 +50,7 @@ from repro.engine import (
     clear_shard_plan_cache,
     clear_summary_cache,
 )
-from repro.engine.sharding import execute_sharded
+from repro.engine.sharding import execute_sharded, placement_for
 from repro.workloads.generators import InconsistentDatabaseGenerator, WorkloadSpec
 from repro.workloads.queries import stock_total_query, stock_town_groupby_query
 
@@ -159,7 +159,10 @@ def run_bench(blocks: int, shard_counts, inconsistency: float, seed: int):
     for name, query in bench_queries():
         entry, cell_metrics = cell(name, results, seconds, shard_counts, 1.0)
         plan = engine.compile(query)
-        shard_plan = ShardPlanner().plan(plan.query, instance, max(shard_counts))
+        placement = placement_for(plan, bool(query.free_variables))
+        shard_plan = ShardPlanner().plan(
+            plan.query, instance, max(shard_counts), placement
+        )
         entry["plan"] = shard_plan.describe()
         queries[name] = entry
         metrics += cell_metrics

@@ -53,18 +53,19 @@ class AnswerOptions:
 
     One frozen bag replaces the kwargs tail that had been accreting on
     ``answer`` / ``answer_group_by`` / ``answer_many`` — callers build it
-    once and pass it positionally or via ``options=``:
+    once and pass it via ``options=`` or as that positional argument:
 
         >>> engine.answer(query, instance, options=AnswerOptions(shards=4))
         >>> engine.answer_many(items, AnswerOptions(max_workers=2))
 
     Fields that a given entry point does not use are ignored there
-    (``max_workers`` only matters to batches, ``strategy`` only to sharded
-    execution), so one options value can drive a mixed workload.
+    (``max_workers`` only matters to batches), so one options value can
+    drive a mixed workload.  Shard placement is not an option: the sharded
+    executor derives it from the compiled plan (see
+    :func:`repro.engine.sharding.placement_for`).
     """
 
     shards: Optional[int] = None
-    strategy: str = "balanced"
     max_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -290,33 +291,22 @@ class ConsistentAnswerEngine:
         """Both bounds for a closed query (or one instantiation of the free
         variables via ``binding``).
 
-        Execution knobs ride an :class:`AnswerOptions` value, accepted via
-        ``options=`` or positionally in the ``binding`` slot when no binding
-        is given.  ``AnswerOptions(shards=N)`` (N > 1) partitions the
-        instance into block-closed fact shards, summarises each shard the
-        summary cache misses (on the attached worker pool when one is
-        running, else in-process), and merges the per-shard summaries
-        exactly; see :mod:`repro.engine.sharding`.  Queries the sharding
-        seam cannot merge fall back to the unsharded path transparently.
+        Execution knobs ride an :class:`AnswerOptions` value, passed after
+        the binding or as ``options=``.  ``AnswerOptions(shards=N)`` (N > 1)
+        partitions the instance into block-closed fact shards, summarises
+        each shard the summary cache misses (on the attached worker pool
+        when one is running, else in-process), and merges the per-shard
+        summaries exactly; see :mod:`repro.engine.sharding`.  Queries the
+        sharding seam cannot merge fall back to the unsharded path
+        transparently.
         """
-        if isinstance(binding, AnswerOptions):
-            if options is not None:
-                raise TypeError("answer() got two AnswerOptions values")
-            binding, options = None, binding
         opts = options if options is not None else AnswerOptions()
         plan = self.compile(query)
         binding = self._checked_binding(plan, binding)
         if opts.shards is not None and opts.shards > 1:
             from repro.engine.sharding import execute_sharded
 
-            return execute_sharded(
-                self,
-                query,
-                instance,
-                opts.shards,
-                binding=binding,
-                strategy=opts.strategy,
-            )
+            return execute_sharded(self, query, instance, opts.shards, binding=binding)
         with obs_span("execute.glb", strategy=plan.glb_strategy):
             add_cost("facts_scanned", len(instance))
             add_cost("blocks_touched", instance.block_count())
@@ -361,13 +351,7 @@ class ConsistentAnswerEngine:
         if opts.shards is not None and opts.shards > 1:
             from repro.engine.sharding import execute_sharded
 
-            return execute_sharded(
-                self,
-                query,
-                instance,
-                opts.shards,
-                strategy=opts.strategy,
-            )
+            return execute_sharded(self, query, instance, opts.shards)
         with obs_span("groupby.candidates") as candidates_span:
             add_cost("facts_scanned", len(instance))
             candidates = self._possible_answers(plan, instance)

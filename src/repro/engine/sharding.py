@@ -11,8 +11,9 @@ that observation into the engine's horizontal-scaling seam:
   query body can span two shards.  Embedding closure is computed by a
   union-find over blocks, connecting facts of join-adjacent atoms that agree
   on their shared variables (a conservative overapproximation of "co-occur
-  in an embedding").  Components are assigned to shards balanced by block
-  weight, or by a stable hash of the component's smallest block key.
+  in an embedding").  :func:`placement_for` derives from the compiled plan
+  and the execution mode how components go to shards: by a stable hash of
+  the component's smallest block key, or balanced by fact weight.
 * Each shard is summarised *per direction* by a :class:`DirectionSummary`:
   whether the shard's body is locally certain, and the directional extremum
   of the aggregate over the shard's repairs that have at least one embedding.
@@ -95,9 +96,9 @@ from repro.engine.plan import QueryPlan
 Binding = Dict[str, Constant]
 GroupKey = Tuple[Constant, ...]
 
-#: Shard-assignment strategies of the planner.
-STRATEGY_BALANCED = "balanced"
-STRATEGY_HASHED = "hashed"
+#: The two shard placements; :func:`placement_for` picks one.
+PLACEMENT_HASHED = "hashed"
+PLACEMENT_BALANCED = "balanced"
 
 _MASK64 = (1 << 64) - 1
 
@@ -562,7 +563,7 @@ class ShardPlan:
     """
 
     shards: Tuple[Tuple[Fact, ...], ...]
-    strategy: str
+    placement: str
     component_count: int
     weights: Tuple[int, ...]
     fallback_reason: Optional[str] = None
@@ -582,7 +583,7 @@ class ShardPlan:
         """JSON-facing description (benchmarks and ``/metrics`` drill-down)."""
         return {
             "shards": len(self.shards),
-            "strategy": self.strategy,
+            "placement": self.placement,
             "components": self.component_count,
             "weights": list(self.weights),
             "fallback_reason": self.fallback_reason,
@@ -592,24 +593,9 @@ class ShardPlan:
 class ShardPlanner:
     """Partitions an instance into block- and embedding-closed fact shards.
 
-    Parameters
-    ----------
-    strategy:
-        ``"balanced"`` (default) assigns components to shards greedily by
-        descending weight onto the currently lightest shard;  ``"hashed"``
-        assigns each component by a stable hash of its smallest block key —
-        cheaper, order-independent, and the natural choice for incremental
-        answering: a point write leaves the other shards' contents, and so
-        their summary-cache entries, intact.
+    Where components go is no caller's choice: :func:`placement_for`
+    derives it from the compiled plan, and :meth:`plan` applies it.
     """
-
-    def __init__(self, strategy: str = STRATEGY_BALANCED) -> None:
-        if strategy not in (STRATEGY_BALANCED, STRATEGY_HASHED):
-            raise ValueError(
-                f"unknown shard strategy {strategy!r}; use "
-                f"{STRATEGY_BALANCED!r} or {STRATEGY_HASHED!r}"
-            )
-        self._strategy = strategy
 
     # -- shardability -------------------------------------------------------------------
 
@@ -652,15 +638,21 @@ class ShardPlanner:
     # -- partitioning -------------------------------------------------------------------
 
     def plan(
-        self, query: AggregationQuery, instance: DatabaseInstance, shards: int
+        self,
+        query: AggregationQuery,
+        instance: DatabaseInstance,
+        shards: int,
+        placement: str,
     ) -> ShardPlan:
-        """Partition ``instance`` into at most ``shards`` embedding-closed parts."""
+        """Partition ``instance`` into at most ``shards`` embedding-closed
+        parts, placing components as ``placement`` (from :func:`placement_for`)
+        says."""
         shards = max(1, int(shards))
         reason = self.fallback_reason(query)
         if reason is not None or shards == 1:
             return ShardPlan(
                 shards=(tuple(instance),),
-                strategy=self._strategy,
+                placement=placement,
                 component_count=0,
                 weights=(len(instance),),
                 fallback_reason=reason,
@@ -671,7 +663,7 @@ class ShardPlanner:
             sum(len(blocks[block_key]) for block_key in component)
             for component in components
         ]
-        assignment = self._assign(components, component_weights, shards)
+        assignment = self._assign(components, component_weights, shards, placement)
         shard_facts: List[List[Fact]] = [[] for _ in range(shards)]
         # Content token per shard: a commutative (XOR + sum) fold over the
         # per-block ``(key, mutation stamp)`` hashes.  Commutativity makes the
@@ -690,7 +682,7 @@ class ShardPlanner:
                 sum_fold[shard_index] = (sum_fold[shard_index] + pair_hash) & _MASK64
         return ShardPlan(
             shards=tuple(tuple(facts) for facts in shard_facts),
-            strategy=self._strategy,
+            placement=placement,
             component_count=len(components),
             weights=tuple(len(facts) for facts in shard_facts),
             lineage=instance.lineage,
@@ -768,20 +760,24 @@ class ShardPlanner:
         components.sort(key=lambda component: repr(component[0]))
         return components
 
+    @staticmethod
     def _assign(
-        self, components: List[List[BlockKey]], weights: List[int], shards: int
+        components: List[List[BlockKey]],
+        weights: List[int],
+        shards: int,
+        placement: str,
     ) -> List[int]:
         """Map each component to a shard index.
 
-        ``weights`` are fact counts: balancing by facts (not block counts)
-        keeps per-shard evaluation cost even when block sizes are skewed.
-        Greedy heaviest-first onto the lightest shard bounds the max/min
-        load gap by the heaviest single component.
+        Hashed placement takes a stable hash of the component's smallest
+        block key.  Balanced placement goes heaviest first onto the lightest
+        shard, which bounds the max/min load gap by the heaviest single
+        component; ``weights`` are fact counts, so skewed block sizes still
+        balance.
         """
-        if self._strategy == STRATEGY_HASHED:
+        if placement == PLACEMENT_HASHED:
             return [
-                self._stable_hash(repr(component[0])) % shards
-                for component in components
+                stable_hash_64(repr(component[0])) % shards for component in components
             ]
         order = sorted(
             range(len(components)),
@@ -796,21 +792,35 @@ class ShardPlanner:
             heapq.heappush(heap, (load + weights[index], shard_index))
         return assignment
 
-    @property
-    def strategy(self) -> str:
-        return self._strategy
 
-    @staticmethod
-    def _stable_hash(text: str) -> int:
-        """A process-stable hash (builtin ``hash`` is salted per process)."""
-        return stable_hash_64(text)
+def placement_for(plan: QueryPlan, grouped: bool) -> str:
+    """How ``plan``'s components go to shards, GROUP BY (``grouped``) or not.
+
+    Each key-equal block picks its repair fact independently, so every
+    block- and embedding-closed partition answers exactly: placement only
+    changes the cost.  Hashed placement (a stable hash of a component's
+    smallest block key) leaves every other component in place on a point
+    write, so one shard's cached summary goes stale.  Balanced placement
+    bounds the heaviest shard, which sets the cost of a closed or bound
+    answer whose shard summary enumerates repairs (a branch-and-bound
+    direction, or an AVG, PRODUCT or DISTINCT state).  A GROUP BY hashes:
+    each group enumerates only the blocks its binding reaches.
+
+    A parent and a pool worker that placed differently would merge
+    summaries of different shards, so both plan through
+    :func:`_cached_shard_plan`, which calls this.
+    """
+    enumerates = _needs_summary_state(plan.query.aggregate) or not (
+        plan.uses_rewriting("glb") and plan.uses_rewriting("lub")
+    )
+    return PLACEMENT_BALANCED if enumerates and not grouped else PLACEMENT_HASHED
 
 
 # -- shard-plan cache -------------------------------------------------------------------
 #
 # A serving deployment answers many requests against the same registered
 # instance, and the partition depends only on (compiled plan, instance,
-# shard count, strategy) — recomputing the union-find per request would
+# shard count, placement) — recomputing the union-find per request would
 # waste exactly the work the engine's plan cache exists to avoid.  Entries
 # are keyed by instance *identity* and die with the database (a weakref
 # callback drops them).  Identity, not equality: a plan carries its
@@ -828,9 +838,12 @@ _SHARD_PLAN_HITS = [0]
 
 
 def _cached_shard_plan(
-    planner: ShardPlanner, plan: QueryPlan, instance: DatabaseInstance, shards: int
+    plan: QueryPlan, instance: DatabaseInstance, shards: int, grouped: bool
 ) -> ShardPlan:
-    key = (plan.key, shards, planner.strategy)
+    # Keyed by placement, not by ``grouped``: one plan key serves GROUP BY
+    # and bound answers, which share a partition when they place alike.
+    placement = placement_for(plan, grouped)
+    key = (plan.key, shards, placement)
     ident = id(instance)
     with _SHARD_PLAN_LOCK:
         holder = _SHARD_PLAN_CACHE.get(ident)
@@ -839,7 +852,7 @@ def _cached_shard_plan(
             if entry is not None and entry[0] == instance.data_version:
                 _SHARD_PLAN_HITS[0] += 1
                 return entry[1]
-    shard_plan = planner.plan(plan.query, instance, shards)
+    shard_plan = ShardPlanner().plan(plan.query, instance, shards, placement)
     with _SHARD_PLAN_LOCK:
         holder = _SHARD_PLAN_CACHE.get(ident)
         if holder is None or holder[0]() is not instance:
@@ -1158,7 +1171,6 @@ def execute_sharded(
     instance: DatabaseInstance,
     shards: int,
     binding: Optional[Binding] = None,
-    strategy: str = STRATEGY_BALANCED,
 ):
     """Answer ``query`` by partitioning ``instance`` into ``shards`` parts.
 
@@ -1176,9 +1188,8 @@ def execute_sharded(
     """
     plan = engine.compile(query)
     grouped = bool(plan.query.free_variables) and binding is None
-    planner = ShardPlanner(strategy)
     with obs_span("shard.plan", requested=shards) as planning:
-        shard_plan = _cached_shard_plan(planner, plan, instance, shards)
+        shard_plan = _cached_shard_plan(plan, instance, shards, grouped)
         if planning is not None:
             planning.set_tag("planned", len(shard_plan.shards))
             if shard_plan.fallback_reason is not None:
@@ -1212,7 +1223,6 @@ def execute_sharded(
                     plan.query,
                     instance,
                     len(shard_plan.shards),
-                    strategy,
                     missing,
                     binding=binding,
                     grouped=grouped,

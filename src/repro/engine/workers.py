@@ -253,11 +253,7 @@ def _worker_main(
         conn.close()
     from repro.engine.batch import _answer_one
     from repro.engine.engine import ConsistentAnswerEngine
-    from repro.engine.sharding import (
-        ShardPlanner,
-        _cached_shard_plan,
-        summarize_planned_shard,
-    )
+    from repro.engine.sharding import _cached_shard_plan, summarize_planned_shard
 
     engine = ConsistentAnswerEngine(**(engine_config or {}))
     resident: Dict[str, Tuple[int, DatabaseInstance]] = {}
@@ -321,13 +317,11 @@ def _worker_main(
                 for index, query, ref in items
             ]
         if kind == "shards":
-            ref, query, shards, strategy, indices, binding, grouped = payload
+            ref, query, shards, indices, binding, grouped = payload
             counters["shard_jobs"] += 1
             instance = resolve(ref)
             plan = engine.compile(query)
-            shard_plan = _cached_shard_plan(
-                ShardPlanner(strategy), plan, instance, shards
-            )
+            shard_plan = _cached_shard_plan(plan, instance, shards, grouped)
             if len(shard_plan.shards) != shards:
                 raise WorkerPoolError(
                     f"worker partition has {len(shard_plan.shards)} shards, "
@@ -1066,7 +1060,6 @@ class WorkerPool:
         query: AggregationQuery,
         instance: DatabaseInstance,
         shards: int,
-        strategy: str,
         indices: Sequence[int],
         binding: Optional[Dict] = None,
         grouped: bool = False,
@@ -1080,7 +1073,8 @@ class WorkerPool:
         goes to the least busy worker, as :meth:`run_chunks` routes
         ``answer_many`` chunks.  Any worker can take any shard: it
         recomputes the (deterministic, worker-side cached) shard plan from
-        its resident instance, so only shard *indices* cross the pipe.
+        its resident instance, with the placement that its own compiled plan
+        and ``grouped`` give, so only shard *indices* cross the pipe.
         Workers keep no summary cache: the sharded executor sends only the
         shards its own cache missed.
         """
@@ -1094,7 +1088,7 @@ class WorkerPool:
                 self._submit(
                     self._least_busy_worker(),
                     "shards",
-                    (ref, query, shards, strategy, run, binding, grouped),
+                    (ref, query, shards, run, binding, grouped),
                     parent_span=dispatch,
                 )
                 for run in runs

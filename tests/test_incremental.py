@@ -29,7 +29,6 @@ from repro.engine import (
     clear_summary_cache,
     summary_cache_stats,
 )
-from repro.engine.sharding import STRATEGY_HASHED
 from repro.serve.registry import InstanceRegistry
 from repro.workloads.generators import (
     InconsistentDatabaseGenerator,
@@ -44,13 +43,6 @@ from repro.workloads.queries import (
 
 BACKENDS = ("operational", "sqlite", "branch_and_bound")
 SHARD_COUNTS = (1, 2, 3, 7)
-
-#: Hashed placement is the incremental-answering strategy: block→shard
-#: assignment depends only on the block key, so a point write leaves every
-#: other shard's cache token (and its cached summary) intact.  The default
-#: balanced strategy re-packs shards when block sizes change and would
-#: recompute everything — still correct, just not incremental.
-INCREMENTAL = dict(strategy=STRATEGY_HASHED)
 
 
 def _engine(backend: str = "operational") -> ConsistentAnswerEngine:
@@ -139,7 +131,7 @@ class TestMutateEqualsRebuild:
         ):
             baseline = _answer(engine, query, rebuilt)
             for shards in SHARD_COUNTS:
-                options = AnswerOptions(shards=shards, **INCREMENTAL)
+                options = AnswerOptions(shards=shards)
                 # Warm the cache on the pre-image first: the incremental
                 # answer below must mix cached (untouched) and fresh
                 # (touched) shard summaries and still match the rebuild.
@@ -162,7 +154,7 @@ class TestMutateEqualsRebuild:
             for query in (stock_total_query("SUM"), stock_town_groupby_query()):
                 baseline = _answer(engine, query, rebuilt)
                 for shards in (2, 3):
-                    options = AnswerOptions(shards=shards, **INCREMENTAL)
+                    options = AnswerOptions(shards=shards)
                     _answer(engine, query, instance, options)
                     incremental = _answer(engine, query, mutated, options)
                     assert incremental == baseline, (
@@ -265,10 +257,11 @@ class TestOneShardRecompute:
         engine = _engine()
         # MIN is rewritable in both directions: per-shard summaries stay
         # polynomial at this scale (whole-relation SUM's lub would hit the
-        # exponential branch-and-bound fallback on ~2000 open blocks).
+        # exponential branch-and-bound fallback on ~2000 open blocks), and
+        # its shards are placed by hash, so a point write moves one shard.
         query = stock_total_query("MIN")
         shards = 8
-        options = AnswerOptions(shards=shards, **INCREMENTAL)
+        options = AnswerOptions(shards=shards)
 
         def hits() -> int:
             return summary_cache_stats()["hits"]
@@ -321,7 +314,7 @@ class TestOneShardRecompute:
         mutated = _apply(instance, _point_ops(instance, 11)[:1])
         query = stock_total_query("MIN")
         shards = 8
-        options = AnswerOptions(shards=shards, **INCREMENTAL)
+        options = AnswerOptions(shards=shards)
         engine = _engine()
         pool = None
         if pooled:
@@ -370,7 +363,7 @@ class TestConcurrentMutateAnswer:
         registry.register("w", _workload(seed), shards=3)
         engine = _engine()
         query = stock_total_query("SUM")
-        options = AnswerOptions(shards=3, **INCREMENTAL)
+        options = AnswerOptions(shards=3)
         errors = []
         done = threading.Event()
 
@@ -433,7 +426,7 @@ class TestAnswerOptions:
         engine = _engine()
         instance = _workload(derive_seed(repro_seed, "opts"))
         query = stock_total_query("SUM")
-        options = AnswerOptions(shards=2, **INCREMENTAL)
+        options = AnswerOptions(shards=2)
         assert engine.answer(query, instance, {}, options) == engine.answer(
             query, instance, options=options
         )

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.evaluator import BOTTOM
 from repro.core.range_answers import RangeAnswer
+from repro.datamodel.facts import Fact
 from repro.datamodel.instance import DatabaseInstance
 from repro.datamodel.signature import RelationSignature, Schema
 from repro.engine import (
@@ -46,6 +47,7 @@ from repro.serve import (
 from repro.serve.__main__ import build_parser, config_from_args, main
 from repro.serve.app import MAX_BODY_BYTES
 from repro.serve.metrics import LATENCY_BUCKETS
+from repro.workloads.generators import InconsistentDatabaseGenerator, WorkloadSpec
 from repro.workloads.scenarios import (
     fig1_stock_instance,
     fig1_stock_schema,
@@ -568,6 +570,70 @@ class TestServerConcurrency:
         assert health["status"] == "ok"
         assert health["instances"] == 2
         assert health["backend"] == "operational"
+
+
+class TestServerWritePath:
+    @pytest.mark.parametrize("worker_processes", [0, 2], ids=["threads", "pool"])
+    def test_each_write_recomputes_one_shard_of_a_sharded_group_by(
+        self, worker_processes
+    ):
+        """A single-op PATCH touches one block, so the next sharded GROUP BY
+        recomputes that block's shard and reads the other seven from the
+        summary cache, in-process or on the worker pool."""
+        spec = WorkloadSpec(
+            dealers=24,
+            products=30,
+            towns=8,
+            stock_facts=168,
+            inconsistency=0.1,
+            seed=1,
+        )
+        instance = InconsistentDatabaseGenerator(spec).generate()
+        stock = sorted(
+            (tuple(f.values) for f in instance.facts if f.relation == "Stock"),
+            key=repr,
+        )
+        writes = []
+        for step in range(3):
+            writes.append(("remove", stock[step * 17]))
+            product, town, _qty = stock[step * 17 + 5]
+            writes.append(("add", (product, town, 990 + step)))
+        text = "(t, SUM(y)) <- Stock(p, t, y)"
+        query = parse_aggregation_query(instance.schema, text)
+
+        async def scenario(server, client):
+            async def counted_read():
+                before = (await client.metrics())["sharding"]["summary_cache"]
+                groups = await client.answer_group_by("w", text)
+                after = (await client.metrics())["sharding"]["summary_cache"]
+                moved = (
+                    after["misses"] - before["misses"],
+                    after["hits"] - before["hits"],
+                )
+                return groups, moved
+
+            await client.register_instance("w", instance, shards=8)
+            _, cold = await counted_read()
+            reads = []
+            for op, values in writes:
+                await client.mutate_instance("w", [(op, "Stock", values)])
+                reads.append(await counted_read())
+            return cold, reads
+
+        cold, reads = serve_scenario(
+            scenario, worker_processes=worker_processes, register_builtins=False
+        )
+        assert cold[0] == 8
+        facts = set(instance.facts)
+        for (op, values), (groups, moved) in zip(writes, reads):
+            fact = Fact("Stock", values)
+            if op == "add":
+                facts.add(fact)
+            else:
+                facts.discard(fact)
+            assert moved == (1, 7)
+            rebuilt = DatabaseInstance(instance.schema, facts)
+            assert groups == ConsistentAnswerEngine().answer_group_by(query, rebuilt)
 
 
 class TestServerLifecycle:

@@ -22,11 +22,16 @@ from fractions import Fraction
 import pytest
 
 from repro.core.evaluator import BOTTOM
+from repro.datamodel.facts import Fact
 from repro.datamodel.instance import DatabaseInstance
 from repro.datamodel.signature import RelationSignature, Schema
 from repro.embeddings.embeddings import embeddings_of
 from repro.engine import AnswerOptions, ConsistentAnswerEngine, ShardPlanner
-from repro.engine.sharding import STRATEGY_BALANCED, STRATEGY_HASHED
+from repro.engine.sharding import (
+    PLACEMENT_BALANCED,
+    PLACEMENT_HASHED,
+    placement_for,
+)
 from repro.query.parser import parse_aggregation_query
 from repro.workloads.generators import (
     InconsistentDatabaseGenerator,
@@ -343,17 +348,56 @@ class TestRandomInstanceParity:
 
 
 class TestShardPlanStructure:
-    def _plan(self, query, instance, shards, strategy=STRATEGY_BALANCED):
-        engine = ConsistentAnswerEngine()
-        plan = engine.compile(query)
-        return ShardPlanner(strategy).plan(plan.query, instance, shards)
+    @staticmethod
+    def _plan(query, instance, shards, grouped=False):
+        plan = ConsistentAnswerEngine().compile(query)
+        return ShardPlanner().plan(
+            plan.query, instance, shards, placement_for(plan, grouped)
+        )
 
-    @pytest.mark.parametrize("strategy", [STRATEGY_BALANCED, STRATEGY_HASHED])
-    def test_partition_is_exact_and_block_closed(self, strategy, repro_seed):
-        instance = _workload(derive_seed(repro_seed, "structure", strategy))
-        query = stock_sum_query("dealer0")
-        shard_plan = self._plan(query, instance, 3, strategy)
+    @pytest.mark.parametrize(
+        "text, grouped, placement",
+        [
+            # Both directions rewrite (minmax): hashed, so a point write
+            # recomputes one shard.
+            ("MIN(y) <- Stock(p, t, y)", False, PLACEMENT_HASHED),
+            ("MAX(y) <- Stock(p, t, y)", False, PLACEMENT_HASHED),
+            # A summary that enumerates repairs costs what the heaviest
+            # shard's open blocks cost: balanced.
+            ("SUM(y) <- Stock(p, t, y)", False, PLACEMENT_BALANCED),
+            (
+                "SUM(y) <- Dealers('dealer0', t), Stock(p, t, y)",
+                False,
+                PLACEMENT_BALANCED,
+            ),
+            ("AVG(y) <- Stock(p, t, y)", False, PLACEMENT_BALANCED),
+            ("COUNT_DISTINCT(y) <- Stock(p, t, y)", False, PLACEMENT_BALANCED),
+            # Every GROUP BY hashes; the same query bound to one group does not.
+            ("(t, SUM(y)) <- Stock(p, t, y)", True, PLACEMENT_HASHED),
+            ("(t, AVG(y)) <- Stock(p, t, y)", True, PLACEMENT_HASHED),
+            ("(t, SUM(y)) <- Stock(p, t, y)", False, PLACEMENT_BALANCED),
+        ],
+    )
+    def test_placement_follows_the_plan(self, text, grouped, placement):
+        query = parse_aggregation_query(fig1_stock_instance().schema, text)
+        plan = ConsistentAnswerEngine().compile(query)
+        assert placement_for(plan, grouped) == placement
+
+    @pytest.mark.parametrize(
+        "query, grouped, placement",
+        [
+            (stock_sum_query("dealer0"), False, PLACEMENT_BALANCED),
+            (stock_groupby_query(), True, PLACEMENT_HASHED),
+        ],
+        ids=["closed-sum", "group-by"],
+    )
+    def test_partition_is_exact_and_block_closed(
+        self, query, grouped, placement, repro_seed
+    ):
+        instance = _workload(derive_seed(repro_seed, "structure", placement))
+        shard_plan = self._plan(query, instance, 3, grouped)
         assert shard_plan.is_sharded
+        assert shard_plan.describe()["placement"] == placement
         # Every fact lands in exactly one shard.
         all_facts = [fact for shard in shard_plan.shards for fact in shard]
         assert len(all_facts) == len(instance)
@@ -370,23 +414,25 @@ class TestShardPlanStructure:
 
     def test_partition_is_embedding_closed(self, repro_seed):
         instance = _workload(derive_seed(repro_seed, "embedding-closed"))
-        for query in (stock_sum_query("dealer0"), stock_groupby_query()):
-            engine = ConsistentAnswerEngine()
-            plan = engine.compile(query)
-            shard_plan = ShardPlanner().plan(plan.query, instance, 4)
-            total = len(embeddings_of(plan.query.body, instance))
+        for query, grouped in (
+            (stock_sum_query("dealer0"), False),
+            (stock_groupby_query(), True),
+        ):
+            shard_plan = self._plan(query, instance, 4, grouped)
+            total = len(embeddings_of(query.body, instance))
             schema = instance.schema
             per_shard = sum(
-                len(embeddings_of(plan.query.body, DatabaseInstance(schema, shard)))
+                len(embeddings_of(query.body, DatabaseInstance(schema, shard)))
                 for shard in shard_plan.shards
             )
             # No embedding is lost and none spans two shards.
             assert per_shard == total
 
-    def test_balanced_strategy_balances_weights(self, repro_seed):
+    def test_balanced_placement_balances_weights(self, repro_seed):
         instance = _workload(derive_seed(repro_seed, "balance"), stock_facts=40)
         shard_plan = self._plan(stock_total_query(), instance, 4)
         assert shard_plan.is_sharded
+        assert shard_plan.placement == PLACEMENT_BALANCED
         weights = shard_plan.weights
         assert sum(weights) == len(instance)
         # Single-block components over ~40 blocks: greedy stays within one
@@ -395,12 +441,39 @@ class TestShardPlanStructure:
             len(block) for block in instance.blocks()
         )
 
-    def test_hashed_strategy_is_stable(self, repro_seed):
-        instance = _workload(derive_seed(repro_seed, "hash-stable"))
-        query = stock_total_query()
-        first = self._plan(query, instance, 3, STRATEGY_HASHED)
-        second = self._plan(query, instance, 3, STRATEGY_HASHED)
-        assert [set(s) for s in first.shards] == [set(s) for s in second.shards]
+    @pytest.mark.parametrize("write", ["add", "remove"])
+    @pytest.mark.parametrize(
+        "query, grouped",
+        [(stock_town_groupby_query(), True), (stock_total_query("MIN"), False)],
+        ids=["group-by", "closed-min"],
+    )
+    def test_hashed_placement_moves_one_shard_per_write(
+        self, query, grouped, write, repro_seed
+    ):
+        instance = _workload(derive_seed(repro_seed, "hash-stable", write))
+        stock = sorted(
+            (f for f in instance.facts if f.relation == "Stock"), key=repr
+        )
+        mutated = instance.copy()
+        if write == "add":
+            donor = stock[0]
+            fact = Fact("Stock", (donor.values[0], donor.values[1], 997))
+            mutated.add_fact(fact)
+        else:
+            fact = next(f for f in stock if len(instance.block_of(f)) > 1)
+            mutated.remove_fact(fact)
+        before = self._plan(query, instance, 5, grouped)
+        after = self._plan(query, mutated, 5, grouped)
+        assert before.placement == after.placement == PLACEMENT_HASHED
+        changed = [
+            index
+            for index in range(5)
+            if before.shard_tokens[index] != after.shard_tokens[index]
+        ]
+        assert len(changed) == 1
+        for index in range(5):
+            difference = set(before.shards[index]) ^ set(after.shards[index])
+            assert difference == ({fact} if index in changed else set())
 
     def test_more_shards_than_components_leaves_empty_shards(self):
         instance = fig1_stock_instance()
@@ -408,18 +481,6 @@ class TestShardPlanStructure:
         assert shard_plan.is_sharded
         assert len(shard_plan.shards) == 7
         assert 0 in shard_plan.weights
-
-    def test_hashed_strategy_parity(self, repro_seed):
-        from repro.engine.sharding import execute_sharded
-
-        instance = _workload(derive_seed(repro_seed, "hash-parity"))
-        engine = ConsistentAnswerEngine()
-        for query in (stock_total_query(), stock_sum_query("dealer0")):
-            baseline = engine.answer(query, instance)
-            sharded = execute_sharded(
-                engine, query, instance, 3, binding={}, strategy=STRATEGY_HASHED
-            )
-            assert sharded == baseline
 
 
 # -- shard-plan cache -------------------------------------------------------------------
@@ -437,9 +498,9 @@ class TestShardPlanCache:
         calls = []
         original = ShardPlanner.plan
 
-        def counting_plan(self, query, instance, shards):
-            calls.append(shards)
-            return original(self, query, instance, shards)
+        def counting_plan(self, query, instance, shards, placement):
+            calls.append((shards, placement))
+            return original(self, query, instance, shards, placement)
 
         monkeypatch.setattr(ShardPlanner, "plan", counting_plan)
         engine = ConsistentAnswerEngine()
@@ -455,6 +516,12 @@ class TestShardPlanCache:
         # A different shard count is a different partition.
         engine.answer(query, instance, options=AnswerOptions(shards=2))
         assert len(calls) == 2
+        # One plan key, answered grouped and bound to one group, places
+        # differently: the derived placement is part of the key.
+        grouped = stock_town_groupby_query()
+        engine.answer_group_by(grouped, instance, AnswerOptions(shards=3))
+        engine.answer(grouped, instance, {"t": "Boston"}, AnswerOptions(shards=3))
+        assert calls[2:] == [(3, PLACEMENT_HASHED), (3, PLACEMENT_BALANCED)]
 
     def test_mutated_instance_invalidates_the_cached_partition(self):
         engine = ConsistentAnswerEngine()

@@ -25,11 +25,7 @@ from repro.engine import (
     WorkerPool,
     clear_summary_cache,
 )
-from repro.engine.sharding import (
-    ShardPlanner,
-    _cached_shard_plan,
-    summarize_planned_shard,
-)
+from repro.engine.sharding import _cached_shard_plan, summarize_planned_shard
 from repro.engine.workers import WorkerPoolError
 from repro.workloads.generators import (
     InconsistentDatabaseGenerator,
@@ -296,14 +292,14 @@ class TestShardRouting:
             # go to worker 1 (depth 0..1 vs 3), whatever the shard indices.
             blockers = [pool._submit(0, "sleep", (0.6,)) for _ in range(3)]
             summaries = pool.summarize_shards(
-                plan.query, instance, 4, "balanced", indices, binding={}, timeout=30
+                plan.query, instance, 4, indices, binding={}, timeout=30
             )
             for blocker in blockers:
                 blocker.result(timeout=30)
             per_worker = {w["worker"]: w for w in pool.stats()["per_worker"]}
             assert per_worker[0].get("shard_jobs", 0) == 0
             assert per_worker[1]["shard_jobs"] == 2  # at most one run per worker
-        shard_plan = _cached_shard_plan(ShardPlanner("balanced"), plan, instance, 4)
+        shard_plan = _cached_shard_plan(plan, instance, 4, grouped=False)
         expected = [
             summarize_planned_shard(plan, shard_plan, index, instance.schema, {})
             for index in indices
@@ -315,7 +311,7 @@ class TestShardRouting:
         instance = _workload(12, stock_facts=60)
         engine = ConsistentAnswerEngine()
         plan = engine.compile(stock_total_query("SUM"))
-        shard_plan = _cached_shard_plan(ShardPlanner("balanced"), plan, instance, 7)
+        shard_plan = _cached_shard_plan(plan, instance, 7, grouped=False)
         assert len(shard_plan.shards) == 7
 
         def shard_jobs(pool):
@@ -324,11 +320,11 @@ class TestShardRouting:
         indices = [6, 1, 4, 0, 5, 2, 3]
         with WorkerPool(workers=2, engine_config=engine.config()) as pool:
             summaries = pool.summarize_shards(
-                plan.query, instance, 7, "balanced", indices, binding={}, timeout=30
+                plan.query, instance, 7, indices, binding={}, timeout=30
             )
             assert shard_jobs(pool) == 2  # seven misses, two runs
             single = pool.summarize_shards(
-                plan.query, instance, 7, "balanced", [5], binding={}, timeout=30
+                plan.query, instance, 7, [5], binding={}, timeout=30
             )
             assert shard_jobs(pool) == 3  # one miss, one run
         expected = [
