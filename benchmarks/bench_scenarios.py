@@ -52,8 +52,8 @@ from functools import partial
 from bench_shard import RUNS, cell, timed_medians
 from check_regression import write_report
 
-from repro.engine import ConsistentAnswerEngine
-from repro.engine.sharding import SUMMARY_AGGREGATES, ShardPlanner, execute_sharded
+from repro.engine import AnswerOptions, ConsistentAnswerEngine
+from repro.engine.sharding import SUMMARY_AGGREGATES, ShardPlanner
 from repro.workloads.generators import AdversarialSpec, adversarial_catalogue
 from repro.workloads.queries import stock_total_query
 
@@ -78,7 +78,7 @@ def run_bench(blocks: int, shard_counts, seed: int):
             calls[name, None] = partial(engine.answer, query, instance)
             for shards in shard_counts:
                 calls[name, shards] = partial(
-                    execute_sharded, engine, query, instance, shards, binding={}
+                    engine.answer, query, instance, options=AnswerOptions(shards=shards)
                 )
     results, seconds = timed_medians(calls)
     queries, metrics = {}, []

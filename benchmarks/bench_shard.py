@@ -45,12 +45,13 @@ from functools import partial
 from check_regression import metric, write_report
 
 from repro.engine import (
+    AnswerOptions,
     ConsistentAnswerEngine,
     ShardPlanner,
     clear_shard_plan_cache,
     clear_summary_cache,
 )
-from repro.engine.sharding import execute_sharded, placement_for
+from repro.engine.sharding import placement_for
 from repro.workloads.generators import InconsistentDatabaseGenerator, WorkloadSpec
 from repro.workloads.queries import stock_total_query, stock_town_groupby_query
 
@@ -142,17 +143,11 @@ def run_bench(blocks: int, shard_counts, inconsistency: float, seed: int):
     calls = {}
     for name, query in bench_queries():
         engine.compile(query)  # plan compilation is shared; keep it out of timings
-        grouped = bool(query.free_variables)
-        unsharded = engine.answer_group_by if grouped else engine.answer
-        calls[name, None] = partial(unsharded, query, instance)
+        answer = engine.answer_group_by if query.free_variables else engine.answer
+        calls[name, None] = partial(answer, query, instance)
         for shards in shard_counts:
             calls[name, shards] = partial(
-                execute_sharded,
-                engine,
-                query,
-                instance,
-                shards,
-                binding=None if grouped else {},
+                answer, query, instance, options=AnswerOptions(shards=shards)
             )
     results, seconds = timed_medians(calls)
     queries, metrics = {}, []

@@ -58,7 +58,8 @@ class BatchResult:
     ``answer`` is a :class:`~repro.core.range_answers.RangeAnswer` for a
     closed query and a ``{group: RangeAnswer}`` dict for a GROUP BY query.
     ``plan_cached`` records whether the executing engine already had the
-    plan when the item ran.
+    plan when the item ran; ``seconds`` covers that plan lookup and the
+    execution.
     """
 
     index: int
@@ -76,21 +77,16 @@ def _answer_one(
     # abandoned job (504 already sent) stops before starting its next item
     # instead of computing answers nobody will read.
     check_cancelled()
-    cached = engine.is_cached(query)
     started = time.perf_counter()
-    if query.free_variables:
-        answer = engine.answer_group_by(query, instance)
-    else:
-        answer = engine.answer(query, instance)
-    seconds = time.perf_counter() - started
     plan = engine.compile(query)
+    answer = engine.execute(plan, instance)
     return BatchResult(
         index=index,
         answer=answer,
-        seconds=seconds,
+        seconds=time.perf_counter() - started,
         glb_strategy=plan.glb_strategy,
         lub_strategy=plan.lub_strategy,
-        plan_cached=cached,
+        plan_cached=plan.cached,
     )
 
 

@@ -3,18 +3,21 @@
 The engine is the front door the production service uses: it compiles each
 query once into a :class:`~repro.engine.plan.QueryPlan` (classification,
 strategy selection and executor preparation), caches the plan in an LRU
-keyed by (schema fingerprint, normalized query), dispatches execution to a
+keyed by (schema fingerprint, normalized query), executes it on a
 pluggable backend, and fans batches out across processes.
 
     >>> engine = ConsistentAnswerEngine()
     >>> engine.answer(query, instance)          # RangeAnswer(glb, lub)
     >>> engine.answer_group_by(groupby, inst)   # {group: RangeAnswer}
+    >>> plan = engine.compile(query)            # plan.cached: a cache hit?
+    >>> engine.execute(plan, instance)          # what answer() returns
     >>> engine.answer_many([(q1, db1), (q2, db2)])
     >>> engine.cache_stats()                    # hits/misses/evictions
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 import weakref
@@ -45,6 +48,7 @@ from repro.engine.plan import (
     plan_key,
     select_strategy,
 )
+from repro.engine import sharding
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,12 @@ class AnswerOptions:
             raise ValueError("AnswerOptions.max_workers must be >= 1")
 
 
-def _fallback_reason_slug(reason: Optional[str]) -> str:
+def _fallback_reason_slug(reason: str) -> str:
     """A bounded-cardinality label for the shard-fallback counter.
 
     The planner's human-readable reasons embed query details (aggregate
     names etc.); metric labels must not, or the series would be unbounded.
     """
-    if reason is None:
-        return "single_shard"
     if "does not merge" in reason:
         return "non_mergeable_aggregate"
     if "self-join-free" in reason:
@@ -105,31 +107,21 @@ class ConsistentAnswerEngine:
         :func:`repro.engine.backends.register_backend`).  Directions the
         preferred backend cannot execute (e.g. lub on ``"sqlite"``) fall
         back to the operational backend automatically.
-    fallback:
-        Backend used for non-rewritable directions (``"branch_and_bound"``
-        by default, ``"exhaustive"`` for ground-truth testing).
-    plan_cache_size:
-        Capacity of the LRU plan cache.
 
-    Batch parallelism is not configured here: :meth:`answer_many` derives
+    Non-rewritable directions run on branch-and-bound; 256 plans are cached.
+    Batch parallelism is not configured either: :meth:`answer_many` derives
     it from ``AnswerOptions.max_workers``, the attached worker pool and the
     cpu count (see :mod:`repro.engine.batch`).
     """
 
-    def __init__(
-        self,
-        backend: str = "operational",
-        fallback: str = "branch_and_bound",
-        plan_cache_size: int = 256,
-    ) -> None:
+    def __init__(self, backend: str = "operational") -> None:
         self._backend_name = backend
-        self._fallback_name = fallback
         self._primary: ExecutionBackend = create_backend(backend)
         self._operational: ExecutionBackend = (
             self._primary if backend == "operational" else create_backend("operational")
         )
-        self._fallback: ExecutionBackend = create_backend(fallback)
-        self._cache: PlanCache[QueryPlan] = PlanCache(plan_cache_size)
+        self._fallback: ExecutionBackend = create_backend("branch_and_bound")
+        self._cache: PlanCache[QueryPlan] = PlanCache(256)
         # Unified cache telemetry: the newest engine owns the "plan_cache"
         # name (last-wins), and the weakref keeps short-lived test engines
         # collectable — a dead cache reports None and is skipped.
@@ -157,21 +149,13 @@ class ConsistentAnswerEngine:
     def backend_name(self) -> str:
         return self._backend_name
 
-    @property
-    def fallback_name(self) -> str:
-        return self._fallback_name
-
     def config(self) -> Dict[str, object]:
         """Picklable constructor arguments (used by the batch executor).
 
         The attached worker pool is deliberately excluded: worker engines
         rebuilt from this config must never hold (or fork) pools themselves.
         """
-        return {
-            "backend": self._backend_name,
-            "fallback": self._fallback_name,
-            "plan_cache_size": self._cache.maxsize,
-        }
+        return {"backend": self._backend_name}
 
     @property
     def worker_pool(self):
@@ -191,7 +175,10 @@ class ConsistentAnswerEngine:
     # -- plan compilation --------------------------------------------------------------
 
     def compile(self, query: AggregationQuery) -> QueryPlan:
-        """Return the plan for ``query``, compiling it on a cache miss."""
+        """Return the plan for ``query``, compiling it on a cache miss.
+
+        The engine's only plan lookup: ``plan.cached`` says whether it hit.
+        """
         key = plan_key(query.body.schema(), query)
         with obs_span("plan.lookup") as lookup:
             plan = self._cache.get(key)
@@ -218,11 +205,12 @@ class ConsistentAnswerEngine:
                 lub_strategy=strategies["lub"],
                 executors=executors,
                 compile_seconds=time.perf_counter() - started,
+                shard_fallback=sharding.ShardPlanner.fallback_reason(normalized),
             )
             if compiling is not None:
                 compiling.set_tag("glb_strategy", plan.glb_strategy)
                 compiling.set_tag("lub_strategy", plan.lub_strategy)
-        self._cache.put(key, plan)
+        self._cache.put(key, dataclasses.replace(plan, cached=True))
         return plan
 
     def _prepare(
@@ -289,33 +277,14 @@ class ConsistentAnswerEngine:
         options: Optional[AnswerOptions] = None,
     ) -> RangeAnswer:
         """Both bounds for a closed query (or one instantiation of the free
-        variables via ``binding``).
+        variables via ``binding``): :meth:`compile`, then :meth:`execute`.
 
         Execution knobs ride an :class:`AnswerOptions` value, passed after
-        the binding or as ``options=``.  ``AnswerOptions(shards=N)`` (N > 1)
-        partitions the instance into block-closed fact shards, summarises
-        each shard the summary cache misses (on the attached worker pool
-        when one is running, else in-process), and merges the per-shard
-        summaries exactly; see :mod:`repro.engine.sharding`.  Queries the
-        sharding seam cannot merge fall back to the unsharded path
-        transparently.
+        the binding or as ``options=``; ``AnswerOptions(shards=N)`` runs
+        the sharded executor when the plan's query merges over shards (see
+        :meth:`execute`).
         """
-        opts = options if options is not None else AnswerOptions()
-        plan = self.compile(query)
-        binding = self._checked_binding(plan, binding)
-        if opts.shards is not None and opts.shards > 1:
-            from repro.engine.sharding import execute_sharded
-
-            return execute_sharded(self, query, instance, opts.shards, binding=binding)
-        with obs_span("execute.glb", strategy=plan.glb_strategy):
-            add_cost("facts_scanned", len(instance))
-            add_cost("blocks_touched", instance.block_count())
-            glb = plan.executors["glb"].evaluate(instance, binding)
-        with obs_span("execute.lub", strategy=plan.lub_strategy):
-            add_cost("facts_scanned", len(instance))
-            add_cost("blocks_touched", instance.block_count())
-            lub = plan.executors["lub"].evaluate(instance, binding)
-        return RangeAnswer(glb, lub)
+        return self.execute(self.compile(query), instance, binding or {}, options)
 
     # -- GROUP BY execution ------------------------------------------------------------
 
@@ -333,25 +302,68 @@ class ConsistentAnswerEngine:
         summaries — this shrinks the per-group evaluation cost from
         O(groups × instance) to O(groups × shard).
         """
-        opts = options if options is not None else AnswerOptions()
         plan = self.compile(query)
-        free = plan.query.free_variables
-        if not free:
+        if not plan.query.free_variables:
             raise BackendError("answer_group_by() requires a query with free variables")
-        return self._answer_group_by_inner(plan, query, instance, opts)
+        return self.execute(plan, instance, None, options)
 
-    def _answer_group_by_inner(
+    # -- plan execution ----------------------------------------------------------------
+
+    def execute(
         self,
         plan: QueryPlan,
-        query: AggregationQuery,
         instance: DatabaseInstance,
-        opts: AnswerOptions,
+        binding: Optional[Binding] = None,
+        options: Optional[AnswerOptions] = None,
+    ):
+        """Run a compiled ``plan`` on ``instance``: the engine's one entry.
+
+        GROUP BY (a ``{group: RangeAnswer}`` dict) when
+        :meth:`QueryPlan.grouped`, else closed (a :class:`RangeAnswer`,
+        whose binding must cover the free variables); sharded (see
+        :mod:`repro.engine.sharding`) when :meth:`shards_for` says so.
+        """
+        grouped = plan.grouped(binding)
+        if not grouped:
+            binding = self._checked_binding(plan, binding)
+        shards = self.shards_for(plan, options)
+        if shards is not None:
+            self._record_shard_execution(plan, shards)
+            return sharding.execute_sharded(self, plan, instance, shards, binding)
+        if grouped:
+            return self._execute_group_by(plan, instance)
+        with obs_span("execute.glb", strategy=plan.glb_strategy):
+            add_cost("facts_scanned", len(instance))
+            add_cost("blocks_touched", instance.block_count())
+            glb = plan.executors["glb"].evaluate(instance, binding)
+        with obs_span("execute.lub", strategy=plan.lub_strategy):
+            add_cost("facts_scanned", len(instance))
+            add_cost("blocks_touched", instance.block_count())
+            lub = plan.executors["lub"].evaluate(instance, binding)
+        return RangeAnswer(glb, lub)
+
+    def shards_for(
+        self, plan: QueryPlan, options: Optional[AnswerOptions]
+    ) -> Optional[int]:
+        """The shards ``plan`` runs on under ``options``; ``None`` is unsharded.
+
+        The one place that decides: ``options.shards > 1`` on a plan whose
+        query merges over shards.  A plan that cannot (``shard_fallback``)
+        counts as a fallback here, once per call, so a caller that runs it
+        elsewhere (the server's worker pool) asks instead of :meth:`execute`.
+        """
+        shards = options.shards if options is not None else None
+        if shards is None or shards < 2:
+            return None
+        if plan.shard_fallback is not None:
+            self._record_shard_execution(plan, shards)
+            return None
+        return shards
+
+    def _execute_group_by(
+        self, plan: QueryPlan, instance: DatabaseInstance
     ) -> Dict[Tuple[Constant, ...], RangeAnswer]:
         free = plan.query.free_variables
-        if opts.shards is not None and opts.shards > 1:
-            from repro.engine.sharding import execute_sharded
-
-            return execute_sharded(self, query, instance, opts.shards)
         with obs_span("groupby.candidates") as candidates_span:
             add_cost("facts_scanned", len(instance))
             candidates = self._possible_answers(plan, instance)
@@ -422,32 +434,32 @@ class ConsistentAnswerEngine:
 
     # -- sharding telemetry ------------------------------------------------------------
 
-    def _record_shard_execution(self, shard_plan) -> None:
-        """Called by the sharded executor once per planned execution."""
+    def _record_shard_execution(self, plan: QueryPlan, shards: int) -> None:
+        """Count one request for ``shards`` shards: sharded, or a fallback
+        when the plan's query does not merge over shards."""
+        reason = plan.shard_fallback
         with self._shard_lock:
             self._shard_stats["requests"] += 1
-            if shard_plan.is_sharded:
+            if reason is None:
                 self._shard_stats["sharded"] += 1
-                self._shard_stats["shards_planned"] += len(shard_plan.shards)
+                self._shard_stats["shards_planned"] += shards
             else:
                 self._shard_stats["fallbacks"] += 1
-        if not shard_plan.is_sharded:
+        if reason is not None:
             add_cost("shard_fallbacks", 1)
             REGISTRY.counter(
                 "repro_shard_fallback_total",
                 "Sharded executions that fell back to the unsharded path, by reason.",
-            ).inc(reason=_fallback_reason_slug(shard_plan.fallback_reason))
+            ).inc(reason=_fallback_reason_slug(reason))
 
     def shard_stats(self) -> Dict[str, object]:
         """Counters of the sharded execution path (requests / sharded /
         fallbacks / shards_planned), the aggregates the seam can merge, plus
         per-worker pool statistics when a worker pool is attached."""
-        from repro.engine.sharding import SHARDABLE_AGGREGATES, summary_cache_stats
-
         with self._shard_lock:
             stats: Dict[str, object] = dict(self._shard_stats)
-        stats["shardable_aggregates"] = list(SHARDABLE_AGGREGATES)
-        stats["summary_cache"] = summary_cache_stats()
+        stats["shardable_aggregates"] = list(sharding.SHARDABLE_AGGREGATES)
+        stats["summary_cache"] = sharding.summary_cache_stats()
         pool = self._worker_pool
         if pool is not None:
             stats["worker_pool"] = pool.stats()
@@ -458,11 +470,6 @@ class ConsistentAnswerEngine:
     def cache_stats(self) -> CacheStats:
         """Hit/miss/eviction counters of the plan cache."""
         return self._cache.stats()
-
-    def is_cached(self, query: AggregationQuery) -> bool:
-        """Whether a plan for ``query`` is currently cached (no side effects
-        on the hit/miss counters)."""
-        return plan_key(query.body.schema(), query) in self._cache
 
     def clear_cache(self) -> None:
         self._cache.clear()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, NamedTuple, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.attacks.classification import SeparationVerdict, classify_aggregation_query
 from repro.datamodel.signature import Schema
@@ -117,6 +117,9 @@ class QueryPlan:
     executor (see :mod:`repro.engine.backends`) whose expensive state —
     attack graph, topological sort, generated SQL — was built at compile
     time; executing the plan never re-runs classification.
+    ``shard_fallback`` says why the sharded executor cannot merge the
+    query (``None`` when it can); ``cached``, whether the lookup that
+    returned this plan hit the plan cache.
     """
 
     key: PlanKey
@@ -127,10 +130,17 @@ class QueryPlan:
     lub_strategy: str = field(compare=False)
     executors: Mapping[str, object] = field(compare=False, repr=False)
     compile_seconds: float = field(compare=False, default=0.0)
+    shard_fallback: Optional[str] = field(compare=False, default=None)
+    cached: bool = field(compare=False, default=False)
 
     @property
     def is_closed(self) -> bool:
         return self.query.is_closed()
+
+    def grouped(self, binding: Optional[Mapping[str, object]]) -> bool:
+        """Whether executing with ``binding`` answers GROUP BY: a ``None``
+        binding on a plan with free variables.  Else it answers closed."""
+        return binding is None and bool(self.query.free_variables)
 
     @property
     def aggregate(self) -> str:

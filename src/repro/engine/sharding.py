@@ -1167,17 +1167,18 @@ def summarize_planned_shard(
 
 def execute_sharded(
     engine,
-    query: AggregationQuery,
+    plan: QueryPlan,
     instance: DatabaseInstance,
     shards: int,
     binding: Optional[Binding] = None,
 ):
-    """Answer ``query`` by partitioning ``instance`` into ``shards`` parts.
+    """Answer the compiled ``plan`` by partitioning ``instance`` into
+    ``shards`` parts, as ``engine.execute`` decided to.
 
-    Returns what the corresponding unsharded engine call would: a
-    :class:`RangeAnswer` for closed execution (``binding`` given or no free
-    variables), a ``{group: RangeAnswer}`` dict for GROUP BY execution.
-    Non-shardable queries transparently fall back to the unsharded path.
+    Returns what the unsharded path would: a ``{group: RangeAnswer}`` dict
+    when :meth:`QueryPlan.grouped`, else a :class:`RangeAnswer`.  A plan
+    whose query does not merge over shards, or fewer than two shards,
+    raise :class:`BackendError`; ``engine`` supplies only its worker pool.
 
     There is one summary path: plan the shards, look every shard's summary
     up in the summary cache of this process, compute only the misses, then
@@ -1186,21 +1187,15 @@ def execute_sharded(
     in-process otherwise, one shard at a time with a cancellation check
     between shards.
     """
-    plan = engine.compile(query)
-    grouped = bool(plan.query.free_variables) and binding is None
+    if shards < 2 or plan.shard_fallback is not None:
+        raise BackendError(
+            f"cannot run {shards} shards: {plan.shard_fallback or 'fewer than 2'}"
+        )
+    grouped = plan.grouped(binding)
     with obs_span("shard.plan", requested=shards) as planning:
         shard_plan = _cached_shard_plan(plan, instance, shards, grouped)
         if planning is not None:
             planning.set_tag("planned", len(shard_plan.shards))
-            if shard_plan.fallback_reason is not None:
-                planning.set_tag("fallback_reason", shard_plan.fallback_reason)
-    record = getattr(engine, "_record_shard_execution", None)
-    if record is not None:
-        record(shard_plan)
-    if not shard_plan.is_sharded:
-        if grouped:
-            return engine.answer_group_by(query, instance)
-        return engine.answer(query, instance, binding)
 
     keys = [
         summary_cache_key(shard_plan, plan.key, index, binding, grouped)
@@ -1210,7 +1205,7 @@ def execute_sharded(
     missing = [index for index, summary in enumerate(summaries) if summary is None]
     if missing:
         computed: Optional[List[object]] = None
-        pool = getattr(engine, "worker_pool", None)
+        pool = engine.worker_pool
         if pool is not None and pool.is_running:
             # The misses split over the least busy workers, each of which
             # rebuilds the partition from its resident instance: only shard

@@ -306,9 +306,7 @@ def _worker_main(
             ref, query, binding = payload
             counters["answer_jobs"] += 1
             instance = resolve(ref)
-            if query.free_variables and binding is None:
-                return engine.answer_group_by(query, instance)
-            return engine.answer(query, instance, binding or {})
+            return engine.execute(engine.compile(query), instance, binding)
         if kind == "chunk":
             (items,) = payload
             counters["chunk_jobs"] += 1

@@ -304,13 +304,15 @@ class ServeConfig:
     long-lived :class:`~repro.engine.workers.WorkerPool` of that many
     engine worker processes at ``start()`` and dispatches CPU-bound plan
     execution, ``/answer_many`` chunks (one per worker, from two items up)
-    and the shard summaries the cache missed to it.  Threads remain the
+    and the shard summaries the cache missed to it.  A request that runs
+    unsharded goes to the pool whole, including one on a sharded instance
+    whose query the sharded executor cannot merge.  Threads remain the
     fallback (``0`` keeps the pure thread-pool behaviour).
 
     ``store_dir`` opts into durability: registered instances and their
     mutations persist under that directory and are reloaded at boot.
 
-    Everything else is a library default (a 256-plan cache, the
+    Everything else is fixed by the library (a 256-plan cache, the
     ``branch_and_bound`` fallback, compaction every 64 log records, a
     256-trace buffer, uncompressed OTLP batches, :data:`MAX_BODY_BYTES`).
     Tracing, the log level and the summary-cache capacity are process-wide,
@@ -1075,17 +1077,12 @@ class ConsistentAnswerServer:
                 active.set_tag("explain", True)
 
     @staticmethod
-    def _shards_for(entry: RegisteredInstance) -> Optional[int]:
-        """The opt-in shard count for an instance (None = unsharded path)."""
-        return entry.shards if entry.shards > 1 else None
-
-    @staticmethod
-    def _plan_summary(plan, was_cached: bool) -> Dict[str, object]:
+    def _plan_summary(plan) -> Dict[str, object]:
         return {
             "glb_strategy": plan.glb_strategy,
             "lub_strategy": plan.lub_strategy,
             "certainty_class": plan.certainty_class,
-            "cached": was_cached,
+            "cached": plan.cached,
         }
 
     def _execute_answer(
@@ -1093,25 +1090,28 @@ class ConsistentAnswerServer:
         entry: RegisteredInstance,
         query: AggregationQuery,
         binding: Optional[Dict[str, object]],
-        shards: Optional[int],
     ):
-        """Run one engine-bound request on a serving thread.
+        """Look the plan up once and run one engine-bound request on a
+        serving thread; returns ``(plan, answer)``.
 
-        In process mode, unsharded execution goes to the least busy
-        worker's persistent engine (the instance ships once, keyed by
-        registry name, so a replacement bumps the version of the same
-        key); sharded execution stays on the parent engine, whose sharded
-        executor looks every shard up in this process's summary cache and
-        sends only the misses to the pool.  ``binding`` of ``None`` with
-        free variables means GROUP BY (both here and on the worker).
+        In process mode, a request that the engine's ``shards_for`` runs
+        unsharded goes to the least busy worker's persistent engine (the
+        instance ships once, keyed by registry name, so a replacement bumps
+        the version of the same key); sharded execution stays on the parent
+        engine, whose sharded executor looks every shard up in this
+        process's summary cache and sends only the misses to the pool.
+        ``binding`` of ``None`` with free variables means GROUP BY (both
+        here and on the worker).
         """
+        plan = self.engine.compile(query)
+        options = AnswerOptions(shards=entry.shards)
         pool = self._pool
         if pool is not None and pool.is_running:
-            if shards is None:
+            if self.engine.shards_for(plan, options) is None:
                 # The asyncio layer 504s the client at the request timeout;
                 # this backstop bounds the *thread*, so a wedged pool job
                 # cannot hold an executor thread and its admission slot.
-                return pool.answer(
+                return plan, pool.answer(
                     query,
                     entry.instance,
                     binding,
@@ -1122,10 +1122,7 @@ class ConsistentAnswerServer:
             # priming the named ref makes them share it, so the next write
             # ships a delta over it instead of pickling a second copy.
             pool.ref_for(entry.instance, name=entry.name)
-        options = AnswerOptions(shards=shards)
-        if binding is None and query.free_variables:
-            return self.engine.answer_group_by(query, entry.instance, options)
-        return self.engine.answer(query, entry.instance, binding or {}, options)
+        return plan, self.engine.execute(plan, entry.instance, binding, options)
 
     # -- handlers ----------------------------------------------------------------------
 
@@ -1141,22 +1138,14 @@ class ConsistentAnswerServer:
                 f"or use /answer_group_by"
             )
         timeout = self._effective_timeout(self._timeout_of(payload))
-        was_cached = self.engine.is_cached(query)
-        shards = self._shards_for(entry)
-
-        def work():
-            # Plan metadata is fetched on the worker too: compile() after
-            # answer() is a guaranteed cache hit, and the event loop never
-            # runs classification even if the plan was evicted mid-flight.
-            answer = self._execute_answer(entry, query, binding, shards)
-            return answer, self.engine.compile(query)
-
-        answer, plan = await self._dispatch(work, timeout)
+        plan, answer = await self._dispatch(
+            lambda: self._execute_answer(entry, query, binding), timeout
+        )
         assert isinstance(answer, RangeAnswer)
         return 200, {
             "instance": entry.name,
             "answer": encode_range_answer(answer),
-            "plan": self._plan_summary(plan, was_cached),
+            "plan": self._plan_summary(plan),
             "shards": entry.shards,
         }
 
@@ -1169,19 +1158,14 @@ class ConsistentAnswerServer:
                 "query has no free variables; use /answer for closed queries"
             )
         timeout = self._effective_timeout(self._timeout_of(payload))
-        was_cached = self.engine.is_cached(query)
-        shards = self._shards_for(entry)
-
-        def work():
-            answers = self._execute_answer(entry, query, None, shards)
-            return answers, self.engine.compile(query)
-
-        answers, plan = await self._dispatch(work, timeout)
+        plan, answers = await self._dispatch(
+            lambda: self._execute_answer(entry, query, None), timeout
+        )
         return 200, {
             "instance": entry.name,
             "group_by": [v.name for v in query.free_variables],
             "groups": encode_group_answers(answers),
-            "plan": self._plan_summary(plan, was_cached),
+            "plan": self._plan_summary(plan),
             "shards": entry.shards,
         }
 
@@ -1497,7 +1481,7 @@ class ConsistentAnswerServer:
             "status": "ok",
             "uptime_seconds": self.metrics.uptime_seconds(),
             "backend": self.engine.backend_name,
-            "fallback": self.engine.fallback_name,
+            "fallback": "branch_and_bound",
             "workers": self._workers,
             "worker_processes": self._pool.size if self._pool is not None else 0,
             "instances": len(self.registry),

@@ -119,15 +119,15 @@ class TestEngineCancellationPoints:
         engine = ConsistentAnswerEngine()
         token = CancelToken()
         calls = []
-        original = engine.answer
+        original = engine.execute
 
-        def counting_answer(*args, **kwargs):
+        def counting_execute(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
                 token.cancel()
             return original(*args, **kwargs)
 
-        engine.answer = counting_answer
+        engine.execute = counting_execute
         with token_scope(token):
             with pytest.raises(JobCancelledError):
                 execute_batch(engine, self._items(6), max_workers=1)
@@ -137,12 +137,12 @@ class TestEngineCancellationPoints:
 
     def test_sharded_serial_stops_between_shards(self):
         engine = ConsistentAnswerEngine()
-        query = parse_aggregation_query(fig1_stock_schema(), STOCK_SUM)
+        plan = engine.compile(parse_aggregation_query(fig1_stock_schema(), STOCK_SUM))
         token = CancelToken()
         token.cancel()
         with token_scope(token):
             with pytest.raises(JobCancelledError):
-                execute_sharded(engine, query, fig1_stock_instance(), 3)
+                execute_sharded(engine, plan, fig1_stock_instance(), 3)
 
     def test_fork_chunk_payload_deadline_self_aborts(self):
         # _run_chunk is the fork-pool entry point; calling it in-process
@@ -224,7 +224,7 @@ class TestServeAbandonedJobs:
                 outcome["cancelled"] = False
                 finished.set()
 
-            server.engine.answer = slow_answer
+            server.engine.execute = slow_answer
             before = REGISTRY.counter("repro_jobs_abandoned_total").value()
             started = time.monotonic()
             status, body = await client.request(
@@ -270,7 +270,7 @@ class TestServeAbandonedJobs:
                 check_cancelled()
                 raise AssertionError("deadline should have expired")
 
-            server.engine.answer = expiring_answer
+            server.engine.execute = expiring_answer
             return await client.request(
                 "POST",
                 "/answer",

@@ -219,29 +219,47 @@ class TestEngineCache:
             schema, "SUM(b) <- Dealers('Smith', a), Stock(c, a, b)"
         )
         first = engine.answer(q1, instance)
-        assert engine.is_cached(q2)
+        assert engine.compile(q2).cached
         assert engine.answer(q2, instance) == first
         assert engine.cache_stats().misses == 1
-
-    def test_eviction_through_engine(self):
-        engine = ConsistentAnswerEngine(plan_cache_size=1)
-        instance = fig1_stock_instance()
-        engine.compile(stock_sum_query("Smith"))
-        engine.compile(stock_sum_query("James"))
-        stats = engine.cache_stats()
-        assert stats.evictions == 1
-        assert not engine.is_cached(stock_sum_query("Smith"))
-        # Recompiling the evicted plan still answers correctly.
-        assert engine.answer(stock_sum_query("Smith"), instance).glb is not None
 
     def test_clear_cache_forces_recompilation(self):
         engine = ConsistentAnswerEngine()
         query = stock_sum_query()
         engine.compile(query)
         engine.clear_cache()
-        assert not engine.is_cached(query)
-        engine.compile(query)
+        assert not engine.compile(query).cached
         assert engine.cache_stats().misses == 2
+
+    def test_each_answer_looks_its_plan_up_once(self):
+        engine = ConsistentAnswerEngine()
+        lookups = []
+        compile_plan = engine.compile
+
+        def counting_compile(query):
+            lookups.append(query)
+            return compile_plan(query)
+
+        engine.compile = counting_compile
+        instance = fig1_stock_instance()
+        sharded = AnswerOptions(shards=4)
+        engine.answer(stock_sum_query(), instance, options=sharded)
+        engine.answer_group_by(stock_groupby_query(), instance, sharded)
+        assert len(lookups) == 2
+        results = engine.answer_many(
+            [(stock_sum_query(), instance), (stock_groupby_query(), instance)] * 2,
+            AnswerOptions(max_workers=1),
+        )
+        assert len(lookups) == 6
+        assert [r.plan_cached for r in results] == [True] * 4
+        engine.clear_cache()
+        assert [
+            r.plan_cached
+            for r in engine.answer_many(
+                [(stock_sum_query(), instance)] * 2, AnswerOptions(max_workers=1)
+            )
+        ] == [False, True]
+        assert len(lookups) == 8
 
 
 # -- strategy selection and fallback dispatch --------------------------------------------
@@ -284,15 +302,6 @@ class TestStrategySelection:
         plan = ConsistentAnswerEngine().compile(stock_query("AVG"))
         assert plan.glb_strategy == STRATEGY_BRANCH_AND_BOUND
         assert plan.executors["glb"].backend_name == "branch_and_bound"
-
-    def test_exhaustive_fallback_backend(self):
-        engine = ConsistentAnswerEngine(fallback="exhaustive")
-        plan = engine.compile(stock_query("AVG"))
-        assert plan.executors["glb"].backend_name == "exhaustive"
-        instance = fig1_stock_instance()
-        assert engine.answer(stock_query("AVG"), instance) == compute_range_answer(
-            stock_query("AVG"), instance
-        )
 
     def test_explain_mentions_strategy_and_backend(self):
         text = ConsistentAnswerEngine().explain(stock_sum_query())
@@ -451,7 +460,7 @@ class TestDerivedBatchPolicy:
         # Below the serial threshold the calling engine runs every item
         # itself, so later items see the plan the first one compiled.
         assert [r.plan_cached for r in results] == [False, True, True]
-        assert engine.is_cached(stock_sum_query())
+        assert engine.compile(stock_sum_query()).cached
 
     def test_two_item_batch_goes_to_a_running_pool_as_chunks(self):
         from repro.engine import WorkerPool
@@ -472,12 +481,8 @@ class TestDerivedBatchPolicy:
         assert [r.answer for r in results] == [expected, expected]
 
     def test_config_holds_only_the_constructor_arguments(self):
-        engine = ConsistentAnswerEngine(backend="sqlite", plan_cache_size=7)
-        assert engine.config() == {
-            "backend": "sqlite",
-            "fallback": "branch_and_bound",
-            "plan_cache_size": 7,
-        }
+        engine = ConsistentAnswerEngine(backend="sqlite")
+        assert engine.config() == {"backend": "sqlite"}
         # Worker processes rebuild an identical engine from it.
         assert ConsistentAnswerEngine(**engine.config()).config() == engine.config()
 

@@ -21,6 +21,7 @@ from repro.engine import (
     summary_cache_stats,
 )
 from repro.obs import set_log_level, set_tracing
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import tracing_enabled
 from repro.obs.metrics import Histogram
 from repro.query.parser import parse_aggregation_query
@@ -262,6 +263,94 @@ class TestServerAnswers:
         assert not answer.is_bottom
         assert answer.glb <= answer.lub
 
+    def test_each_request_item_looks_its_plan_up_once(self):
+        """One ``compile`` per /answer, /answer_group_by and /answer_many
+        item, sharded or not, and ``plan.cached`` reports that lookup."""
+
+        async def scenario(server, client):
+            lookups = []
+            compile_plan = server.engine.compile
+
+            def counting_compile(query):
+                lookups.append(query)
+                return compile_plan(query)
+
+            server.engine.compile = counting_compile
+            await client.register_instance("stock8", fig1_stock_instance(), shards=8)
+
+            async def post(path, instance, query):
+                before = len(lookups)
+                status, body = await client.request(
+                    "POST", path, {"instance": instance, "query": query}
+                )
+                assert status == 200, body
+                return len(lookups) - before, body["plan"]["cached"]
+
+            seen = [
+                await post("/answer", "stock", STOCK_SUM),
+                await post("/answer", "stock", STOCK_SUM),
+                await post("/answer", "stock8", STOCK_SUM),
+                await post("/answer_group_by", "stock8", STOCK_GROUP_BY),
+                await post("/answer_group_by", "stock", STOCK_GROUP_BY),
+            ]
+            server.engine.clear_cache()
+            seen.append(await post("/answer", "stock8", STOCK_SUM))
+            seen.append(await post("/answer_group_by", "stock", STOCK_GROUP_BY))
+            before = len(lookups)
+            results = await client.answer_many(
+                [
+                    ("stock", STOCK_SUM),
+                    ("stock8", STOCK_GROUP_BY),
+                    ("running_example", RUNNING_SUM),
+                ]
+            )
+            many = (len(lookups) - before, [r["plan_cached"] for r in results])
+            return seen, many
+
+        seen, many = serve_scenario(scenario)
+        assert seen == [
+            (1, False),
+            (1, True),
+            (1, True),
+            (1, False),
+            (1, True),
+            (1, False),
+            (1, False),
+        ]
+        assert many == (3, [True, True, False])
+
+    def test_a_query_that_cannot_shard_runs_on_the_pool(self):
+        """On a sharded instance, a query the sharded executor cannot merge
+        (a cartesian product) runs unsharded: under ``--workers`` on the
+        pool like any unsharded request, counted once as a fallback."""
+        text = "SUM(y) <- Dealers(d, t), Stock(p, t2, y)"
+        fallbacks = REGISTRY.counter("repro_shard_fallback_total")
+
+        def answer_jobs(metrics):
+            pool = metrics["worker_pool"]
+            if not pool.get("enabled"):
+                return 0
+            return sum(w.get("answer_jobs", 0) for w in pool["per_worker"])
+
+        async def scenario(server, client):
+            await client.register_instance("stock4", fig1_stock_instance(), shards=4)
+            before = await client.metrics()
+            prometheus = fallbacks.value(reason="disconnected_joins")
+            answer = await client.answer("stock4", text)
+            after = await client.metrics()
+            return (
+                answer,
+                answer_jobs(after) - answer_jobs(before),
+                after["sharding"]["fallbacks"] - before["sharding"]["fallbacks"],
+                fallbacks.value(reason="disconnected_joins") - prometheus,
+            )
+
+        pooled = serve_scenario(scenario, worker_processes=1)
+        threaded = serve_scenario(scenario)
+        assert pooled[1:] == (1, 1, 1)
+        assert threaded[1:] == (0, 1, 1)
+        assert pooled[0] == threaded[0]
+
 
 # -- end-to-end: errors, admission, timeouts ---------------------------------------------
 
@@ -408,7 +497,7 @@ class TestServerErrors:
             # sleep releases the GIL, so the event loop's timeout always
             # fires first — pure CPU-bound work could finish in the same
             # loop iteration on a starved loop).
-            original = server.engine.answer
+            original = server.engine.execute
 
             def slow_answer(*args, **kwargs):
                 import time as _time
@@ -416,7 +505,7 @@ class TestServerErrors:
                 _time.sleep(0.2)
                 return original(*args, **kwargs)
 
-            server.engine.answer = slow_answer
+            server.engine.execute = slow_answer
             status, body = await client.request(
                 "POST",
                 "/answer",
@@ -438,13 +527,13 @@ class TestServerErrors:
         async def scenario(server, client):
             import time as _time
 
-            original = server.engine.answer
+            original = server.engine.execute
 
             def slow_answer(*args, **kwargs):
                 _time.sleep(0.3)
                 return original(*args, **kwargs)
 
-            server.engine.answer = slow_answer
+            server.engine.execute = slow_answer
             status, _body = await client.request(
                 "POST",
                 "/answer",
